@@ -4,18 +4,21 @@
 //   * lfp agreement — Algorithm 1, the paper's pairwise LFP and the
 //     compact reformulation agree on L(alpha).
 //   * pair solver — the paper's iterative removal loop vs the
-//     sorted-prefix scan: identical losses, different speed.
+//     sorted-prefix scan: identical losses, different speed; and the
+//     precomputed loss envelope, bitwise equal to the scan.
 //   * supremum — Theorem 5's closed form vs fixpoint iteration, and
 //     the analytic budget inverse eps = alpha - L(alpha) vs bisection.
 
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/suites/suites.h"
 #include "common/random.h"
+#include "core/loss_envelope.h"
 #include "core/privacy_loss.h"
 #include "core/supremum.h"
 #include "lp/tpl_lfp.h"
@@ -82,11 +85,35 @@ Status PairSolver(SuiteContext* ctx) {
       [&] { iterative_loss = loss.EvaluateDetailed(10.0, iterative).loss; });
   const double sorted_seconds = ctx->TimeBestOf(
       [&] { sorted_loss = loss.EvaluateDetailed(10.0, sorted).loss; });
+
+  // The envelope: built once, then compared with the sorted scan at
+  // log-spaced alphas across both LogLinearInExpAlpha branches.
+  std::unique_ptr<LossEnvelope> envelope;
+  const double build_seconds = ctx->TimeBestOf(
+      [&] { envelope = std::make_unique<LossEnvelope>(matrix); });
+  std::vector<double> alphas = {10.0};
+  for (int k = 0; k < 24; ++k) alphas.push_back(1e-6 * std::pow(10.0, k / 3.0));
+  double envelope_dev = 0.0;
+  for (double alpha : alphas) {
+    envelope_dev = std::max(
+        envelope_dev, std::fabs(envelope->Evaluate(alpha) - loss.Evaluate(alpha)));
+  }
+  constexpr int kEvals = 10000;
+  const double eval_seconds = ctx->TimeBestOf([&] {
+    for (int i = 0; i < kEvals; ++i) {
+      (void)envelope->Evaluate(alphas[i % alphas.size()]);
+    }
+  });
   ctx->Record("pair_solver",
               {{"n", static_cast<double>(n)}, {"alpha", 10.0}},
               {{"dev", std::fabs(iterative_loss - sorted_loss)},
                {"iterative_ms", iterative_seconds * 1e3},
-               {"sorted_ms", sorted_seconds * 1e3}});
+               {"sorted_ms", sorted_seconds * 1e3},
+               {"envelope_dev", envelope_dev},
+               {"envelope_build_ms", build_seconds * 1e3},
+               {"envelope_eval_ns", eval_seconds / kEvals * 1e9},
+               {"envelope_pieces",
+                static_cast<double>(envelope->num_pieces())}});
   return Status::OK();
 }
 
@@ -162,6 +189,8 @@ void RegisterAblationSuite(Harness* harness) {
   spec.metric_policies = {
       {"iterative_ms", MetricPolicy::Latency()},
       {"sorted_ms", MetricPolicy::Latency()},
+      {"envelope_build_ms", MetricPolicy::Latency()},
+      {"envelope_eval_ns", MetricPolicy::Latency()},
   };
   spec.gates = {
       // All three routes to L(alpha) agree (DESIGN.md 4.1).
@@ -171,6 +200,8 @@ void RegisterAblationSuite(Harness* harness) {
        "lfp_agreement.dev_dinkelbach <= 1e-6"},
       // The two exact pair solvers return identical losses (4.4).
       {"pair_solvers_agree", "pair_solver.dev <= 1e-9"},
+      // The precomputed envelope is bitwise equal to the sorted scan.
+      {"envelope_exact", "pair_solver.envelope_dev == 0"},
       // Theorem 5 matches the iterated recurrence on existence and
       // value, and the analytic inverse matches bisection (4.2).
       {"supremum_routes_agree",

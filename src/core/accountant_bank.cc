@@ -67,10 +67,9 @@ bool SamePair(const TemporalCorrelations& a, const TemporalCorrelations& b) {
 
 /// A small exact-bits memo for the per-slice update loop: cohort
 /// members overwhelmingly carry bit-identical BPL state (identical
-/// sub-schedules), so one evaluation serves the whole run without
-/// touching the shared cache's locks. Falls through to the evaluator
-/// (itself deterministic) when full — a perf valve, never a semantic
-/// one.
+/// sub-schedules), so one evaluation serves the whole run. Falls
+/// through to the evaluator (itself deterministic) when full — a perf
+/// valve, never a semantic one.
 class LocalLossMemo {
  public:
   double Evaluate(const LossEvaluator& loss, double alpha) {

@@ -10,11 +10,10 @@
 /// batched over contiguous per-user columns instead of one heap
 /// accountant per user. Users are grouped into **cohorts** keyed by
 /// their interned (P^B, P^F) transition-matrix pair; everyone in a
-/// cohort shares one pair of loss evaluators, so each release costs one
-/// Algorithm-1 solve per (cohort, distinct-alpha bucket) followed by a
-/// tight update loop over the cohort's column slices — a parallel grain
-/// that stays profitable even when the loss cache is warm (the open
-/// item the per-user TplAccountant layout could not fix).
+/// cohort shares one pair of loss evaluators — precomputed loss
+/// envelopes (core/loss_envelope.h) — so each release costs one
+/// envelope evaluation per (cohort, distinct running alpha) followed by
+/// a tight update loop over the cohort's column slices.
 ///
 /// Heterogeneous schedules: `RecordRelease(epsilon, participants)`
 /// charges eps only to the listed users; everyone else records a skip
@@ -25,8 +24,8 @@
 /// Equivalence contract (property-tested): every per-user series the
 /// bank produces is **bitwise identical** to a standalone TplAccountant
 /// driven with the same sub-schedule through equivalently configured
-/// evaluators (same cache quantization, or both direct), at any thread
-/// count. PopulationAccountant/TplAccountant remain the single-user
+/// evaluators (same cache alpha_resolution, or both direct), at any
+/// thread count. PopulationAccountant/TplAccountant remain the single-user
 /// reference implementation.
 ///
 /// Thread-compatible like FleetEngine: concurrent calls on one bank
@@ -48,7 +47,7 @@
 namespace tcdp {
 
 struct AccountantBankOptions {
-  /// When true, cohorts evaluate through a shared memoizing
+  /// When true, cohorts evaluate through envelopes interned in a shared
   /// TemporalLossCache; when false each cohort owns a direct
   /// TemporalLossFunction (the uncached ablation baseline).
   bool share_loss_cache = true;
@@ -126,8 +125,8 @@ class AccountantBank {
   /// \name Durable-state hooks (the snapshot layer in src/server/ is
   /// built on these).
   /// @{
-  /// The grid the bank's evaluators quantize to; negative when running
-  /// direct (uncached) evaluators.
+  /// The grid the bank's evaluators snap alpha up to; negative when
+  /// running direct (uncached) evaluators.
   double cache_alpha_resolution() const {
     return cache_ != nullptr ? options_.cache.alpha_resolution : -1.0;
   }

@@ -1,19 +1,16 @@
 #include "core/loss_cache.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstring>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
+#include "core/loss_envelope.h"
 #include "obs/metrics.h"
 
 namespace tcdp {
 namespace {
 
 /// Process-global cache instruments (every TemporalLossCache instance
-/// feeds the same totals, mirroring the per-instance atomics that back
+/// feeds the same totals, mirroring the per-instance counts that back
 /// `stats()`).
 struct CacheObs {
   obs::Counter* hits;
@@ -34,158 +31,38 @@ struct CacheObs {
   }
 };
 
-}  // namespace
-
-class TemporalLossCache::Impl {
- public:
-  explicit Impl(const Options& options) : options_(options) {
-    if (options_.num_shards == 0) options_.num_shards = 1;
-  }
-
-  /// One interned matrix: its loss function plus a sharded value table.
-  struct Entry {
-    explicit Entry(StochasticMatrix matrix, std::size_t num_shards)
-        : loss(std::move(matrix)), shards(num_shards) {}
-    TemporalLossFunction loss;
-    struct Shard {
-      std::mutex mu;
-      std::unordered_map<std::int64_t, double> values;
-    };
-    std::vector<Shard> shards;
-  };
-
-  std::shared_ptr<Entry> InternEntry(const StochasticMatrix& matrix) {
-    const std::uint64_t fp = FingerprintStochasticMatrix(matrix);
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    auto [it, inserted] = registry_.try_emplace(fp);
-    for (const auto& existing : it->second) {
-      if (ExactlyEquals(existing->loss.transition(), matrix)) return existing;
-    }
-    auto entry = std::make_shared<Entry>(matrix, options_.num_shards);
-    it->second.push_back(entry);
-    if (obs::MetricsEnabled()) CacheObs::Get().interned->Increment();
-    return entry;
-  }
-
-  double Evaluate(Entry& entry, double alpha) {
-    if (!(alpha > 0.0)) return 0.0;
-    std::int64_t key;
-    if (options_.alpha_resolution > 0.0) {
-      const double scaled = alpha / options_.alpha_resolution;
-      if (scaled >= 9.0e18) {  // llround would overflow int64
-        // Leakage this deep is astronomically past any real budget;
-        // evaluate directly rather than corrupt the key space.
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::MetricsEnabled()) CacheObs::Get().misses->Increment();
-        return entry.loss.EvaluateDetailed(alpha, options_.eval).loss;
-      }
-      // Snap to the grid point at or above alpha: L is nondecreasing, so
-      // evaluating at a larger argument keeps the memoized value an
-      // upper bound on the true loss — an accountant must never round a
-      // privacy leakage down.
-      key = static_cast<std::int64_t>(std::llround(scaled));
-      double snapped = static_cast<double>(key) * options_.alpha_resolution;
-      if (snapped < alpha) {
-        ++key;
-        snapped = static_cast<double>(key) * options_.alpha_resolution;
-      }
-      alpha = snapped;
-    } else {
-      std::memcpy(&key, &alpha, sizeof(key));
-    }
-    Entry::Shard& shard =
-        entry.shards[static_cast<std::uint64_t>(key) % entry.shards.size()];
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.values.find(key);
-      if (it != shard.values.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::MetricsEnabled()) CacheObs::Get().hits->Increment();
-        return it->second;
-      }
-    }
-    // Compute outside the lock: Algorithm 1 is the expensive part, and a
-    // concurrent duplicate computes the identical value anyway. Only the
-    // thread whose insert wins counts the miss, so hits + misses always
-    // equals lookups even when a cold bucket is raced.
-    const double value = entry.loss.EvaluateDetailed(alpha, options_.eval).loss;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto [it, inserted] = shard.values.emplace(key, value);
-      if (inserted) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::MetricsEnabled()) {
-          CacheObs::Get().misses->Increment();
-          CacheObs::Get().entries->Add(1);
-        }
-      } else {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::MetricsEnabled()) CacheObs::Get().hits->Increment();
-      }
-      return it->second;
-    }
-  }
-
-  Stats stats() const {
-    Stats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    for (const auto& [fp, entries] : registry_) {
-      s.distinct_matrices += entries.size();
-      for (const auto& entry : entries) {
-        for (auto& shard : entry->shards) {
-          std::lock_guard<std::mutex> shard_lock(shard.mu);
-          s.entries += shard.values.size();
-        }
-      }
-    }
-    return s;
-  }
-
-  void Clear() {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    std::int64_t cleared = 0;
-    for (auto& [fp, entries] : registry_) {
-      for (auto& entry : entries) {
-        for (auto& shard : entry->shards) {
-          std::lock_guard<std::mutex> shard_lock(shard.mu);
-          cleared += static_cast<std::int64_t>(shard.values.size());
-          shard.values.clear();
-        }
-      }
-    }
-    if (cleared > 0 && obs::MetricsEnabled()) {
-      CacheObs::Get().entries->Sub(cleared);
-    }
-  }
-
- private:
-  Options options_;
-  mutable std::mutex registry_mu_;
-  // fingerprint -> entries (a bucket list guards against hash collision).
-  std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<Entry>>>
-      registry_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-};
-
-namespace {
-
-/// The evaluator handed to accountants: routes through the shared table.
+/// The evaluator handed to accountants: grid snap, then the envelope.
 class CachedLoss : public LossEvaluator {
  public:
-  CachedLoss(std::shared_ptr<TemporalLossCache::Impl> impl,
-             std::shared_ptr<TemporalLossCache::Impl::Entry> entry)
-      : impl_(std::move(impl)), entry_(std::move(entry)) {}
+  CachedLoss(std::shared_ptr<const LossEnvelope> envelope,
+             double alpha_resolution)
+      : envelope_(std::move(envelope)), resolution_(alpha_resolution) {}
 
   double Evaluate(double alpha) const override {
-    return impl_->Evaluate(*entry_, alpha);
+    if (!(alpha > 0.0)) return 0.0;
+    if (resolution_ > 0.0) {
+      const double scaled = alpha / resolution_;
+      // Past 9e18 llround would overflow; leakage this deep is
+      // astronomically past any real budget, so evaluate unsnapped.
+      if (scaled < 9.0e18) {
+        // Snap to the grid point at or above alpha: L is nondecreasing,
+        // so a larger argument keeps the value an upper bound on the
+        // true loss — an accountant must never round a leakage down.
+        auto key = static_cast<std::int64_t>(std::llround(scaled));
+        double snapped = static_cast<double>(key) * resolution_;
+        if (snapped < alpha) {
+          ++key;
+          snapped = static_cast<double>(key) * resolution_;
+        }
+        alpha = snapped;
+      }
+    }
+    return envelope_->Evaluate(alpha);
   }
 
  private:
-  std::shared_ptr<TemporalLossCache::Impl> impl_;
-  std::shared_ptr<TemporalLossCache::Impl::Entry> entry_;
+  std::shared_ptr<const LossEnvelope> envelope_;
+  double resolution_;
 };
 
 }  // namespace
@@ -193,17 +70,58 @@ class CachedLoss : public LossEvaluator {
 TemporalLossCache::TemporalLossCache() : TemporalLossCache(Options()) {}
 
 TemporalLossCache::TemporalLossCache(const Options& options)
-    : impl_(std::make_shared<Impl>(options)) {}
+    : options_(options) {}
 
 std::shared_ptr<const LossEvaluator> TemporalLossCache::Intern(
     const StochasticMatrix& matrix) {
-  return std::make_shared<CachedLoss>(impl_, impl_->InternEntry(matrix));
+  const std::uint64_t fp = FingerprintStochasticMatrix(matrix);
+  std::shared_ptr<const LossEnvelope> envelope;
+  bool built = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto [it, inserted] = registry_.try_emplace(fp);
+    for (const auto& existing : it->second) {
+      if (ExactlyEquals(existing->transition(), matrix)) {
+        envelope = existing;
+        break;
+      }
+    }
+    if (envelope != nullptr) {
+      ++hits_;
+    } else {
+      // Built under the lock: interning is rare (once per cohort) and a
+      // build takes well under a millisecond.
+      envelope = std::make_shared<const LossEnvelope>(matrix);
+      it->second.push_back(envelope);
+      built = true;
+      ++misses_;
+      pieces_ += envelope->num_pieces();
+    }
+  }
+  if (obs::MetricsEnabled()) {
+    const CacheObs& o = CacheObs::Get();
+    if (built) {
+      o.misses->Increment();
+      o.interned->Increment();
+      o.entries->Add(static_cast<std::int64_t>(envelope->num_pieces()));
+    } else {
+      o.hits->Increment();
+    }
+  }
+  return std::make_shared<CachedLoss>(std::move(envelope),
+                                      options_.alpha_resolution);
 }
 
 TemporalLossCache::Stats TemporalLossCache::stats() const {
-  return impl_->stats();
+  std::lock_guard<std::mutex> lock(mu_);
+  Stats s;
+  s.hits = hits_;
+  s.misses = misses_;
+  s.entries = pieces_;
+  for (const auto& [fp, envelopes] : registry_) {
+    s.distinct_matrices += envelopes.size();
+  }
+  return s;
 }
-
-void TemporalLossCache::Clear() { impl_->Clear(); }
 
 }  // namespace tcdp

@@ -11,15 +11,22 @@
 
 namespace tcdp {
 
-double LogLinearInExpAlpha(double c, double alpha) {
-  assert(c >= 0.0 && c <= 1.0 + 1e-12 && alpha >= 0.0);
-  if (c <= 0.0 || alpha == 0.0) return 0.0;
-  if (alpha < 30.0) {
-    return std::log1p(c * std::expm1(alpha));
+ExpAlpha::ExpAlpha(double a)
+    : alpha(a), factor(a < 30.0 ? std::expm1(a) : std::exp(-a)) {}
+
+double LogLinearInExpAlpha(double c, const ExpAlpha& e) {
+  assert(c >= 0.0 && c <= 1.0 + 1e-12 && e.alpha >= 0.0);
+  if (c <= 0.0 || e.alpha == 0.0) return 0.0;
+  if (e.alpha < 30.0) {
+    return std::log1p(c * e.factor);
   }
   // c(e^a - 1) + 1 = c e^a (1 + (1-c) e^-a / c):
   //   log = a + log(c) + log1p((1-c) e^-a / c).
-  return alpha + std::log(c) + std::log1p((1.0 - c) * std::exp(-alpha) / c);
+  return e.alpha + std::log(c) + std::log1p((1.0 - c) * e.factor / c);
+}
+
+double LogLinearInExpAlpha(double c, double alpha) {
+  return LogLinearInExpAlpha(c, ExpAlpha(alpha));
 }
 
 namespace {
@@ -104,37 +111,24 @@ void PairLossIterativeCore(const double* q, const double* d, std::size_t n,
 void PairLossSortedCore(const double* q, const double* d, std::size_t n,
                         double alpha, bool want_subset,
                         PairLossResult* result) {
-  const auto& k = kernels::ActiveBackend();
   PairScanScratch& scratch = Scratch();
   scratch.Reserve(n);
   std::uint32_t* order = scratch.idx.data();
 
-  // Candidates (Corollary 2) sorted by ratio q_j/d_j descending; d_j = 0
-  // candidates (infinite ratio) first.
-  const std::size_t m = k.select_greater(q, d, n, order);
-  std::sort(order, order + m, [&](std::uint32_t a, std::uint32_t b) {
-    const bool a_inf = d[a] == 0.0;
-    const bool b_inf = d[b] == 0.0;
-    if (a_inf != b_inf) return a_inf;
-    if (a_inf) return q[a] > q[b];  // both infinite: any stable order
-    return q[a] * d[b] > q[b] * d[a];
-  });
-
-  double q_acc = 0.0, d_acc = 0.0;
+  const ExpAlpha e(alpha);
   double best_q = 0.0, best_d = 0.0;
   std::size_t best_len = 0;
-  for (std::size_t len = 1; len <= m; ++len) {
-    q_acc += q[order[len - 1]];
-    d_acc += d[order[len - 1]];
-    const double value = LogLinearInExpAlpha(q_acc, alpha) -
-                         LogLinearInExpAlpha(d_acc, alpha);
-    if (value > result->loss) {
-      result->loss = value;
-      best_q = q_acc;
-      best_d = d_acc;
-      best_len = len;
-    }
-  }
+  ForEachSortedPrefix(q, d, n, order,
+                      [&](double q_acc, double d_acc, std::size_t len) {
+                        const double value = LogLinearInExpAlpha(q_acc, e) -
+                                             LogLinearInExpAlpha(d_acc, e);
+                        if (value > result->loss) {
+                          result->loss = value;
+                          best_q = q_acc;
+                          best_d = d_acc;
+                          best_len = len;
+                        }
+                      });
   result->q_sum = best_q;
   result->d_sum = best_d;
   result->update_rounds = 1;  // single scan
@@ -161,6 +155,21 @@ Status ValidatePairInputs(const char* fn, const std::vector<double>& q,
 }
 
 }  // namespace
+
+std::size_t SortedPrefixOrder(const double* q, const double* d, std::size_t n,
+                              std::uint32_t* order) {
+  // Candidates (Corollary 2) sorted by ratio q_j/d_j descending; d_j = 0
+  // candidates (infinite ratio) first.
+  const std::size_t m = kernels::ActiveBackend().select_greater(q, d, n, order);
+  std::sort(order, order + m, [&](std::uint32_t a, std::uint32_t b) {
+    const bool a_inf = d[a] == 0.0;
+    const bool b_inf = d[b] == 0.0;
+    if (a_inf != b_inf) return a_inf;
+    if (a_inf) return q[a] > q[b];  // both infinite: any stable order
+    return q[a] * d[b] > q[b] * d[a];
+  });
+  return m;
+}
 
 StatusOr<PairLossResult> ComputePairLoss(const std::vector<double>& q,
                                          const std::vector<double>& d,

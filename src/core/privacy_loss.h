@@ -19,8 +19,14 @@
 /// hundreds (deep accumulation under strong correlations) cannot
 /// overflow. The recurrence value satisfies 0 <= L(alpha) <= alpha
 /// (Remark 1) — property-tested.
+///
+/// TemporalLossFunction re-solves every row pair on each call; it is
+/// the reference. Served paths evaluate the same function through
+/// LossEnvelope (core/loss_envelope.h), which enumerates the sorted
+/// prefixes once per matrix and is bitwise equal to Evaluate here.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -31,6 +37,42 @@ namespace tcdp {
 /// \brief log( c * (e^alpha - 1) + 1 ) evaluated stably for c in [0, 1]
 /// and alpha >= 0 (helper exposed for tests and Theorem 5).
 double LogLinearInExpAlpha(double c, double alpha);
+
+/// \brief The alpha-only factor of LogLinearInExpAlpha: e^alpha - 1 on
+/// the alpha < 30 branch, e^-alpha on the other. Evaluating many c at
+/// one alpha through it skips the repeated exp calls and gives the same
+/// bits as LogLinearInExpAlpha(c, alpha).
+struct ExpAlpha {
+  explicit ExpAlpha(double alpha);
+  double alpha;
+  double factor;
+};
+double LogLinearInExpAlpha(double c, const ExpAlpha& e);
+
+/// \brief Corollary 2 candidates of the ordered row pair (q, d) in
+/// Theorem 4's threshold order: writes every j with q_j > d_j into
+/// \p order, sorted by ratio q_j/d_j descending (d_j = 0 first), and
+/// returns their count. \p order needs room for n entries.
+std::size_t SortedPrefixOrder(const double* q, const double* d, std::size_t n,
+                              std::uint32_t* order);
+
+/// \brief Calls visit(q_hat, d_hat, len) for every prefix of the
+/// SortedPrefixOrder of (q, d). Each prefix is one curve
+/// log((q_hat x + 1) / (d_hat x + 1)), x = e^alpha - 1, and the pair's
+/// loss is the largest of them. ComputePairLossSorted and LossEnvelope
+/// (core/loss_envelope.h) both enumerate through here, so their
+/// prefix sums carry the same bits.
+template <typename Visit>
+void ForEachSortedPrefix(const double* q, const double* d, std::size_t n,
+                         std::uint32_t* order, Visit&& visit) {
+  const std::size_t m = SortedPrefixOrder(q, d, n, order);
+  double q_acc = 0.0, d_acc = 0.0;
+  for (std::size_t len = 1; len <= m; ++len) {
+    q_acc += q[order[len - 1]];
+    d_acc += d[order[len - 1]];
+    visit(q_acc, d_acc, len);
+  }
+}
 
 /// \brief Outcome of the subset search for one ordered row pair.
 struct PairLossResult {
@@ -65,8 +107,9 @@ StatusOr<PairLossResult> ComputePairLossSorted(const std::vector<double>& q,
 
 /// \brief Interface for a temporal loss function L(alpha): alpha >= 0 ->
 /// [0, alpha]. Lets accountants share one evaluation backend — a direct
-/// per-user TemporalLossFunction, the trivial zero loss, or a fleet-wide
-/// memoizing cache (core/loss_cache.h).
+/// per-user TemporalLossFunction, the trivial zero loss, or a per-matrix
+/// envelope interned by the fleet-wide cache (core/loss_envelope.h,
+/// core/loss_cache.h).
 class LossEvaluator {
  public:
   virtual ~LossEvaluator() = default;
@@ -92,7 +135,9 @@ struct LossEvalOptions {
 /// pair loss over all ordered pairs of distinct rows (Algorithm 1).
 ///
 /// Construction copies the matrix; evaluation is O(n^4) worst case
-/// (n^2 pairs x O(n^2) subset refinement), matching the paper's bound.
+/// with kIterativeRefinement (n^2 pairs x O(n^2) subset refinement),
+/// matching the paper's bound, and O(n^3 log n) with the default
+/// kSortedPrefix.
 class TemporalLossFunction : public LossEvaluator {
  public:
   explicit TemporalLossFunction(StochasticMatrix transition);

@@ -1183,10 +1183,14 @@ StatusOr<UserReport> ShardedReleaseService::Query(const std::string& name) {
   report.shard = it->second.first;
   report.join_release = shard.bank.join_release(local);
   report.horizon = shard.bank.user_horizon(local);
-  report.max_tpl = shard.bank.MaxTplFor(local);
   report.user_level_tpl = shard.bank.UserEpsSum(local);
   report.epsilons = shard.bank.EpsilonsFor(local);
   report.tpl_series = shard.bank.TplSeriesFor(local);
+  // The same max as AccountantBank::MaxTplFor, without recomputing the
+  // O(T) series a second time.
+  for (double v : report.tpl_series) {
+    report.max_tpl = std::max(report.max_tpl, v);
+  }
   return report;
 }
 

@@ -107,11 +107,8 @@ struct ShardedServiceOptions {
   /// persisted, and Recover leaves the process-wide mode untouched.
   TcdpKernelMode kernel_mode = TcdpKernelMode::kAuto;
   bool share_loss_cache = true;
-  /// NOTE: the durable MANIFEST records only `cache.alpha_resolution`
-  /// (and `share_loss_cache`); a non-default `cache.eval` method is
-  /// not persisted, so a recovered service evaluates with the default
-  /// method — bitwise replay is guaranteed for default-eval services
-  /// (which includes everything `tcdp serve` can create).
+  /// The durable MANIFEST records `cache.alpha_resolution` (and
+  /// `share_loss_cache`), the cache's only option.
   TemporalLossCache::Options cache;
 };
 
@@ -159,10 +156,10 @@ struct ServiceStats {
   std::uint64_t global_releases = 0;  ///< global time steps dispatched
   /// TemporalLossCache totals aggregated over every shard's bank
   /// (zero when share_loss_cache is off — the banks run direct
-  /// evaluators and nothing is memoized).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_entries = 0;
+  /// evaluators and build no envelopes).
+  std::uint64_t cache_hits = 0;     ///< interns that reused an envelope
+  std::uint64_t cache_misses = 0;   ///< envelopes built
+  std::uint64_t cache_entries = 0;  ///< stored envelope pieces
   std::uint64_t cache_distinct_matrices = 0;
 };
 

@@ -44,8 +44,9 @@ struct FleetEngineOptions {
   /// Worker threads for fan-out; 0 = hardware concurrency, 1 = run the
   /// per-user loop inline (no pool is created).
   std::size_t num_threads = 0;
-  /// When false, every cohort builds a direct TemporalLossFunction and
-  /// no memoization happens (the uncached ablation baseline).
+  /// When false, every cohort builds a direct TemporalLossFunction that
+  /// re-solves Algorithm 1 per evaluation (the uncached ablation
+  /// baseline).
   bool share_loss_cache = true;
   TemporalLossCache::Options cache;
 };

@@ -99,21 +99,23 @@ TEST(FleetEngine, ParallelSeriesBitwiseIdenticalToSerial) {
 }
 
 TEST(FleetEngine, CacheHitMissAccountingOnUniformFleet) {
-  // 50 users, one shared matrix: each new alpha is solved once (miss)
-  // and served 49 times (hits). Backward and forward share the interned
-  // matrix, and with a uniform schedule the FPL pass re-hits the same
-  // buckets.
+  // 50 users, one shared matrix: the first intern builds its envelope
+  // (miss) and the forward direction reuses it (hit). Releases and the
+  // FPL pass evaluate through the envelope without touching the counts.
   auto engine = MakeEngine(/*threads=*/1, /*cache=*/true, /*users=*/50,
                            Fig3Both());
+  const auto interned = engine.cache_stats();
   ASSERT_TRUE(engine.RecordReleases(std::vector<double>(6, 0.1)).ok());
   (void)engine.OverallAlpha();  // forces the FPL backward pass
   const auto stats = engine.cache_stats();
   EXPECT_EQ(stats.distinct_matrices, 1u);
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.misses, 0u);
-  // BPL visits 5 distinct alphas; FPL hits the same buckets.
-  EXPECT_EQ(stats.misses, 5u);
-  EXPECT_GT(stats.HitRate(), 0.9);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.HitRate(), 0.5);
+  EXPECT_GE(stats.entries, 1u);  // the envelope's pieces
+  EXPECT_EQ(stats.hits, interned.hits);
+  EXPECT_EQ(stats.misses, interned.misses);
+  EXPECT_EQ(stats.entries, interned.entries);
 }
 
 TEST(FleetEngine, HeterogeneousMatricesStayIsolated) {

@@ -1,5 +1,5 @@
-// Unit tests for core/loss_cache: hit/miss accounting, matrix
-// interning/deduplication, agreement with the direct Algorithm-1
+// Unit tests for core/loss_cache: envelope build/reuse accounting,
+// matrix interning/deduplication, agreement with the direct Algorithm-1
 // evaluation, the generic-LFP oracle regression, and thread safety.
 
 #include "core/loss_cache.h"
@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
+#include "core/loss_envelope.h"
 #include "lp/tpl_lfp.h"
 #include "markov/stochastic_matrix.h"
 
@@ -21,29 +23,34 @@ StochasticMatrix Fig3Matrix() {
   return StochasticMatrix::FromRows({{0.8, 0.2}, {0.0, 1.0}});
 }
 
-TEST(TemporalLossCache, FirstEvaluationMissesSecondHits) {
+TEST(TemporalLossCache, FirstInternBuildsEnvelopeLaterInternsReuseIt) {
   TemporalLossCache cache;
   auto loss = cache.Intern(Fig3Matrix());
-  const double first = loss->Evaluate(0.5);
   auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.misses, 1u);  // one envelope built
   EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.entries, LossEnvelope(Fig3Matrix()).num_pieces());
 
+  // Evaluations touch no counter.
+  const double first = loss->Evaluate(0.5);
   const double second = loss->Evaluate(0.5);
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+
+  auto again = cache.Intern(Fig3Matrix());
   stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(first, second);  // bitwise: same memoized value
+  EXPECT_EQ(stats.hits, 1u);  // served by the existing envelope
+  EXPECT_EQ(stats.entries, LossEnvelope(Fig3Matrix()).num_pieces());
+  EXPECT_EQ(again->Evaluate(0.5), first);
 }
 
 TEST(TemporalLossCache, ZeroAlphaShortCircuits) {
   TemporalLossCache cache;
   auto loss = cache.Intern(Fig3Matrix());
   EXPECT_EQ(loss->Evaluate(0.0), 0.0);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 0u);
+  EXPECT_EQ(loss->Evaluate(-1.0), 0.0);
 }
 
 TEST(TemporalLossCache, InternDeduplicatesEqualMatrices) {
@@ -52,21 +59,21 @@ TEST(TemporalLossCache, InternDeduplicatesEqualMatrices) {
   auto b = cache.Intern(Fig3Matrix());  // distinct object, same contents
   EXPECT_EQ(cache.stats().distinct_matrices, 1u);
 
-  a->Evaluate(0.7);  // miss, populates the shared table
-  b->Evaluate(0.7);  // hit through the other handle
+  EXPECT_EQ(a->Evaluate(0.7), b->Evaluate(0.7));
   const auto stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
 }
 
-TEST(TemporalLossCache, DistinctMatricesGetDistinctTables) {
+TEST(TemporalLossCache, DistinctMatricesGetDistinctEnvelopes) {
   TemporalLossCache cache;
   auto a = cache.Intern(Fig3Matrix());
   auto b = cache.Intern(StochasticMatrix::Identity(2));
   EXPECT_EQ(cache.stats().distinct_matrices, 2u);
-  a->Evaluate(0.4);
-  b->Evaluate(0.4);
   EXPECT_EQ(cache.stats().misses, 2u);  // no cross-matrix sharing
+  EXPECT_EQ(a->Evaluate(0.4), TemporalLossFunction(Fig3Matrix()).Evaluate(0.4));
+  EXPECT_EQ(b->Evaluate(0.4),
+            TemporalLossFunction(StochasticMatrix::Identity(2)).Evaluate(0.4));
 }
 
 TEST(TemporalLossCache, NeverUnderestimatesAndStaysNearDirect) {
@@ -134,14 +141,19 @@ TEST(TemporalLossCache, MatchesTemporalLossViaLfpOnSmallMatrices) {
   }
 }
 
-TEST(TemporalLossCache, ClearDropsValuesButKeepsEvaluators) {
+TEST(TemporalLossCache, GridPointsEvaluateBitwiseLikeTheReference) {
+  // Snapping is the only step in front of the envelope, so at an alpha
+  // already on the grid the cache returns the reference's exact bits —
+  // the value the earlier memo stored for that grid point.
   TemporalLossCache cache;
-  auto loss = cache.Intern(Fig3Matrix());
-  const double before = loss->Evaluate(0.3);
-  cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(loss->Evaluate(0.3), before);  // recomputes the same value
-  EXPECT_EQ(cache.stats().misses, 2u);
+  Rng rng(9);
+  const auto matrix = StochasticMatrix::Random(5, &rng);
+  auto cached = cache.Intern(matrix);
+  TemporalLossFunction direct(matrix);
+  for (std::int64_t key : {1LL, 7LL, 1000LL, 123456789LL, 40000000000LL}) {
+    const double alpha = static_cast<double>(key) * 1e-9;
+    EXPECT_EQ(cached->Evaluate(alpha), direct.Evaluate(alpha)) << alpha;
+  }
 }
 
 TEST(TemporalLossCache, EvaluatorOutlivesCacheHandle) {
@@ -155,24 +167,23 @@ TEST(TemporalLossCache, EvaluatorOutlivesCacheHandle) {
   EXPECT_NEAR(loss->Evaluate(0.25), direct, 2e-9);
 }
 
-TEST(TemporalLossCache, ConcurrentEvaluationsAgree) {
+TEST(TemporalLossCache, ConcurrentInternsAndEvaluationsAgree) {
   TemporalLossCache cache;
-  auto loss = cache.Intern(Fig3Matrix());
-  // The grid-snapped reference: whatever the cache computes once, every
-  // thread must observe bitwise.
-  const double expected = loss->Evaluate(0.5);
+  const double expected = cache.Intern(Fig3Matrix())->Evaluate(0.5);
   std::vector<std::thread> threads;
   std::vector<double> results(8, -1.0);
   for (std::size_t i = 0; i < results.size(); ++i) {
-    threads.emplace_back([&loss, &results, i] {
+    threads.emplace_back([&cache, &results, i] {
+      auto loss = cache.Intern(Fig3Matrix());
       for (int rep = 0; rep < 100; ++rep) results[i] = loss->Evaluate(0.5);
     });
   }
   for (auto& t : threads) t.join();
   for (double r : results) EXPECT_EQ(r, expected);
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_GT(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 1u);  // one envelope, however the interns race
+  EXPECT_EQ(stats.hits, results.size());
+  EXPECT_EQ(stats.distinct_matrices, 1u);
 }
 
 }  // namespace

@@ -454,9 +454,9 @@ Status CmdFleet(const Flags& flags, std::ostream& out) {
   add("overall alpha (max TPL)", FormatNumber(max_alpha, 6));
   add("min personalized alpha", FormatNumber(min_alpha, 6));
   if (use_cache) {
-    add("loss cache hits", std::to_string(cache.hits));
-    add("loss cache misses", std::to_string(cache.misses));
-    add("loss cache hit rate", FormatNumber(cache.HitRate(), 4));
+    add("loss envelopes built", std::to_string(cache.misses));
+    add("loss envelopes reused", std::to_string(cache.hits));
+    add("loss cache hit rate (interns)", FormatNumber(cache.HitRate(), 4));
     add("distinct matrices", std::to_string(cache.distinct_matrices));
   } else {
     add("loss cache", "off");
@@ -987,9 +987,10 @@ Status CmdServe(const Flags& flags, std::ostream& out) {
         std::to_string(stats.join_requests + stats.release_requests));
     add("micro-batch ticks", std::to_string(stats.ticks));
     add("global releases", std::to_string(stats.global_releases));
-    add("loss cache hits/misses", std::to_string(stats.cache_hits) + "/" +
-                                      std::to_string(stats.cache_misses));
-    add("loss cache entries", std::to_string(stats.cache_entries));
+    add("loss envelopes reused/built", std::to_string(stats.cache_hits) +
+                                           "/" +
+                                           std::to_string(stats.cache_misses));
+    add("loss envelope pieces", std::to_string(stats.cache_entries));
     add("horizon", std::to_string(service->horizon()));
     add("overall alpha (max TPL)", FormatNumber(overall, 6));
     add("min personalized alpha", FormatNumber(min_alpha, 6));
@@ -1326,7 +1327,7 @@ void PrintTopFrame(const std::string& server, const TopFrame& prev,
   const obs::MetricsDelta delta =
       obs::DiffMetricsSnapshots(prev.metrics, cur.metrics, interval_seconds);
   // Request throughput comes from the per-type latency histograms (the
-  // interval's count), WAL throughput and cache traffic from counter
+  // interval's count), WAL throughput and envelope interns from counter
   // deltas; everything degrades to 0 when the instrument is absent.
   std::uint64_t requests = 0;
   obs::HistogramSnapshot net_latency;
@@ -1343,10 +1344,9 @@ void PrintTopFrame(const std::string& server, const TopFrame& prev,
   }
   const std::uint64_t wal_bytes =
       delta.CounterSum("tcdp_wal_appended_bytes_total");
-  const std::uint64_t hits = delta.CounterSum("tcdp_loss_cache_hits_total");
-  const std::uint64_t misses =
-      delta.CounterSum("tcdp_loss_cache_misses_total");
-  const double lookups = static_cast<double>(hits + misses);
+  const std::uint64_t reused = delta.CounterSum("tcdp_loss_cache_hits_total");
+  const std::uint64_t built = delta.CounterSum("tcdp_loss_cache_misses_total");
+  const double interns = static_cast<double>(reused + built);
 
   out << "tcdp top — " << server << "  users " << cur.stats.num_users
       << "  horizon " << cur.stats.horizon << "  interval "
@@ -1359,8 +1359,8 @@ void PrintTopFrame(const std::string& server, const TopFrame& prev,
       {"WAL bytes/s",
        FormatNumber(static_cast<double>(wal_bytes) / interval_seconds, 1)});
   table.AddRowCells(
-      {"cache hit ratio",
-       lookups > 0 ? FormatNumber(static_cast<double>(hits) / lookups, 3)
+      {"envelope reuse ratio",
+       interns > 0 ? FormatNumber(static_cast<double>(reused) / interns, 3)
                    : "-"});
   if (have_latency && net_latency.count() > 0) {
     table.AddRowCells(
@@ -2046,7 +2046,7 @@ std::string HelpText() {
       "             exits nonzero when the probed bit is false\n"
       "             --port PORT [--host H] [--ready 1] [--json -]\n"
       "  top        live dashboard over kMetrics/kStats: request and WAL\n"
-      "             throughput, cache hit ratio, net latency quantiles,\n"
+      "             throughput, envelope reuse ratio, net latency quantiles,\n"
       "             per-shard queue bars; refreshes on a TTY, single\n"
       "             rate table otherwise\n"
       "             --port PORT [--host H] [--interval-ms MS] [--count M]\n"
