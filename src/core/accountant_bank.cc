@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <numeric>
 
 #include "core/tpl_accountant.h"
 #include "kernels/kernels.h"
@@ -63,6 +65,36 @@ bool SamePair(const TemporalCorrelations& a, const TemporalCorrelations& b) {
     return false;
   }
   return true;
+}
+
+/// Fan-out grains. The pool's hand-off costs microseconds per task, so a
+/// release goes to the pool only when every task gets at least this
+/// many items: vector-swept slots for an unmasked release (~15 ns each
+/// when the memo hits), live-list entries for a masked one (each a
+/// possible envelope evaluation, 60 ns to 1 us). Both come to tens of
+/// microseconds per task at the cheapest.
+constexpr std::size_t kMinSweepSlotsPerTask = 4096;
+constexpr std::size_t kMinLiveSlotsPerTask = 512;
+
+/// Runs \p body over [0, total): on the pool in chunks of at least
+/// \p min_per_task when there are two such chunks, otherwise inline.
+void RunChunked(ThreadPool* pool, std::size_t total, std::size_t min_per_task,
+                const std::function<void(std::size_t, std::size_t)>& body) {
+  if (pool != nullptr && total >= 2 * min_per_task) {
+    pool->ParallelForRange(
+        0, total, body,
+        std::max(min_per_task, total / (4 * pool->num_threads())));
+  } else if (total > 0) {
+    body(0, total);
+  }
+}
+
+bool SameBits(double a, double b) {
+  std::uint64_t x = 0;
+  std::uint64_t y = 0;
+  std::memcpy(&x, &a, sizeof(x));
+  std::memcpy(&y, &b, sizeof(y));
+  return x == y;
 }
 
 /// A small exact-bits memo for the per-slice update loop: cohort
@@ -194,14 +226,15 @@ std::size_t AccountantBank::AddUser(TemporalCorrelations correlations) {
   cohort.users.push_back(static_cast<std::uint32_t>(user));
   cohort.bpl_last.push_back(0.0);
   cohort.eps_sum.push_back(0.0);
+  cohort.in_live.push_back(0);  // BPL 0 is a fixed point of the skip step
   // O(1): the flat-slot prefix sums are rebuilt lazily (EnsureOffsets),
   // so bulk enrollment is linear in users, not users x cohorts.
   offsets_dirty_ = true;
   return user;
 }
 
-void AccountantBank::StepSlots(std::size_t lo, std::size_t hi, double epsilon,
-                               const std::vector<std::uint64_t>& mask) {
+void AccountantBank::StepSlots(std::size_t lo, std::size_t hi,
+                               double epsilon) {
   const kernels::Backend& kern = kernels::ActiveBackend();
   StepScratch& scratch = StepScratchForThread();
   // Locate the cohort owning `lo` (offsets are sorted, cohorts few).
@@ -216,27 +249,10 @@ void AccountantBank::StepSlots(std::size_t lo, std::size_t hi, double epsilon,
     const std::size_t n = end - lo;
     double* bpl = cohort.bpl_last.data() + s0;
     double* eps_sum = cohort.eps_sum.data() + s0;
-
-    // An empty mask means "everyone enrolled participated"; otherwise
-    // stage the per-slot budget adds (epsilon or 0) once, then let the
-    // fused kernels stream the column update.
-    const double* add = nullptr;
-    if (!mask.empty()) {
-      if (scratch.add.size() < n) scratch.add.resize(n);
-      kernels::ExpandMaskEpsilon(mask.data(), mask.size(),
-                                 cohort.users.data() + s0, n, epsilon,
-                                 scratch.add.data());
-      add = scratch.add.data();
-    }
-
     if (backward == nullptr) {
-      // Zero backward loss: 0.0 + x == x bitwise for the non-negative
-      // adds here, so the fill variants match the reference loss + add.
-      if (add == nullptr) {
-        kern.fused_fill_uniform(epsilon, bpl, eps_sum, n);
-      } else {
-        kern.fused_fill_add(add, bpl, eps_sum, n);
-      }
+      // Zero backward loss: 0.0 + eps == eps bitwise, so the fill
+      // variant matches the reference loss + eps.
+      kern.fused_fill_uniform(epsilon, bpl, eps_sum, n);
     } else {
       if (scratch.loss.size() < n) scratch.loss.resize(n);
       LocalLossMemo& memo = scratch.MemoFor(this, horizon(), backward);
@@ -244,16 +260,55 @@ void AccountantBank::StepSlots(std::size_t lo, std::size_t hi, double epsilon,
         const double alpha = bpl[i];
         scratch.loss[i] = alpha > 0.0 ? memo.Evaluate(*backward, alpha) : 0.0;
       }
-      if (add == nullptr) {
-        kern.fused_loss_add_uniform(scratch.loss.data(), epsilon, bpl,
-                                    eps_sum, n);
-      } else {
-        kern.fused_loss_add(scratch.loss.data(), add, bpl, eps_sum, n);
-      }
+      kern.fused_loss_add_uniform(scratch.loss.data(), epsilon, bpl, eps_sum,
+                                  n);
     }
     lo = end;
     ++c;
   }
+}
+
+void AccountantBank::StepLive(std::size_t lo, std::size_t hi, double epsilon) {
+  StepScratch& scratch = StepScratchForThread();
+  const std::uint64_t* mask = mask_scratch_.data();
+  std::size_t c = static_cast<std::size_t>(
+      std::upper_bound(live_offsets_.begin(), live_offsets_.end(), lo) -
+      live_offsets_.begin() - 1);
+  while (lo < hi) {
+    const std::size_t end = std::min(hi, live_offsets_[c + 1]);
+    Cohort& cohort = cohorts_[c];
+    const LossEvaluator* backward = cohort.backward.get();
+    LocalLossMemo* memo =
+        backward != nullptr ? &scratch.MemoFor(this, horizon(), backward)
+                            : nullptr;
+    const std::uint32_t* live = cohort.live.data() + (lo - live_offsets_[c]);
+    for (std::size_t i = 0; i < end - lo; ++i) {
+      const std::uint32_t slot = live[i];
+      const std::uint32_t user = cohort.users[slot];
+      const bool participates = (mask[user >> 6] >> (user & 63u)) & 1u;
+      // The kernels' arithmetic: bpl = loss + add, eps_sum += add.
+      const double old = cohort.bpl_last[slot];
+      const double loss = memo != nullptr && old > 0.0
+                              ? memo->Evaluate(*backward, old)
+                              : 0.0;
+      const double add = participates ? epsilon : 0.0;
+      const double next = loss + add;
+      cohort.bpl_last[slot] = next;
+      cohort.eps_sum[slot] += add;
+      // A skip step that returned its input bits is a fixed point of
+      // the (pure) skip step: every later skip is a no-op. After any
+      // step eps_sum is +0.0 or positive, so later += 0.0 keep it too.
+      if (!participates && SameBits(next, old)) cohort.in_live[slot] = 0;
+    }
+    lo = end;
+    ++c;
+  }
+}
+
+void AccountantBank::MarkLive(Cohort& cohort, std::uint32_t slot) {
+  if (cohort.in_live[slot] != 0) return;
+  cohort.in_live[slot] = 1;
+  cohort.live.push_back(slot);
 }
 
 Status AccountantBank::Record(double epsilon,
@@ -263,8 +318,21 @@ Status AccountantBank::Record(double epsilon,
         "AccountantBank: epsilon must be finite and > 0");
   }
   obs::ScopedLatencyTimer step_timer(BankObs::Get().step_seconds);
-  // mask_scratch_ is reusable staging: empty = every enrolled user.
-  if (participants != nullptr) {
+  if (participants == nullptr) {
+    // Everyone participates: one vectorized sweep over every slot, and
+    // every slot is live afterwards.
+    EnsureOffsets();
+    RunChunked(pool_, cohort_offsets_.back(), kMinSweepSlotsPerTask,
+               [this, epsilon](std::size_t lo, std::size_t hi) {
+                 StepSlots(lo, hi, epsilon);
+               });
+    for (Cohort& cohort : cohorts_) {
+      if (cohort.live.size() == cohort.users.size()) continue;
+      cohort.live.resize(cohort.users.size());
+      std::iota(cohort.live.begin(), cohort.live.end(), 0u);
+      std::fill(cohort.in_live.begin(), cohort.in_live.end(), 1);
+    }
+  } else {
     // 0 users still gets one zero word: distinct from "all".
     mask_scratch_.assign(std::max<std::size_t>((num_users() + 63) / 64, 1), 0);
     for (std::size_t user : *participants) {
@@ -275,19 +343,25 @@ Status AccountantBank::Record(double epsilon,
       }
       mask_scratch_[user >> 6] |= std::uint64_t{1} << (user & 63u);
     }
-  } else {
-    mask_scratch_.clear();
-  }
-  EnsureOffsets();
-  const std::size_t total = cohort_offsets_.back();
-  if (total > 0) {
-    if (pool_ != nullptr && total > 1) {
-      pool_->ParallelForRange(
-          0, total, [this, epsilon](std::size_t lo, std::size_t hi) {
-            StepSlots(lo, hi, epsilon, mask_scratch_);
-          });
-    } else {
-      StepSlots(0, total, epsilon, mask_scratch_);
+    for (std::size_t user : *participants) {
+      MarkLive(cohorts_[user_cohort_[user]], user_slot_[user]);
+    }
+    // Walk participants plus live slots; everything else is frozen.
+    live_offsets_.resize(cohorts_.size() + 1);
+    live_offsets_[0] = 0;
+    for (std::size_t c = 0; c < cohorts_.size(); ++c) {
+      live_offsets_[c + 1] = live_offsets_[c] + cohorts_[c].live.size();
+    }
+    RunChunked(pool_, live_offsets_.back(), kMinLiveSlotsPerTask,
+               [this, epsilon](std::size_t lo, std::size_t hi) {
+                 StepLive(lo, hi, epsilon);
+               });
+    for (Cohort& cohort : cohorts_) {
+      cohort.live.erase(std::remove_if(cohort.live.begin(), cohort.live.end(),
+                                       [&cohort](std::uint32_t slot) {
+                                         return cohort.in_live[slot] == 0;
+                                       }),
+                        cohort.live.end());
     }
   }
   schedule_.push_back(epsilon);
@@ -333,52 +407,76 @@ std::vector<double> AccountantBank::EpsilonsFor(std::size_t user) const {
   return out;
 }
 
-std::vector<double> AccountantBank::BplSeriesFor(std::size_t user) const {
-  assert(user < num_users());
+std::vector<double> AccountantBank::BplFromEpsilons(
+    std::size_t user, const std::vector<double>& eps) const {
   const Cohort& cohort = cohorts_[user_cohort_[user]];
   const LossEvaluator* backward = cohort.backward.get();
-  const std::size_t join = user_join_[user];
-  std::vector<double> out(horizon() - join);
+  std::vector<double> out(eps.size());
   double prev = 0.0;
-  for (std::size_t idx = 0; idx < out.size(); ++idx) {
-    const std::size_t t = join + idx;
-    const double eps = ParticipatedRaw(user, t) ? schedule_[t] : 0.0;
+  for (std::size_t idx = 0; idx < out.size();) {
     double loss = 0.0;
     if (backward != nullptr && prev > 0.0) loss = backward->Evaluate(prev);
-    prev = loss + eps;
-    out[idx] = prev;
+    const double next = loss + eps[idx];
+    out[idx++] = next;
+    if (eps[idx - 1] == 0.0 && SameBits(next, prev)) {
+      // A skip that returned its input: the rest of the run is frozen.
+      while (idx < out.size() && eps[idx] == 0.0) out[idx++] = next;
+    }
+    prev = next;
   }
   // The recomputed tail must land exactly on the running column.
-  assert(out.empty() ||
-         out.back() == cohort.bpl_last[user_slot_[user]]);
+  assert(out.empty() || out.back() == cohort.bpl_last[user_slot_[user]]);
   return out;
 }
 
-std::vector<double> AccountantBank::FplSeriesFor(std::size_t user) const {
+std::vector<double> AccountantBank::BplSeriesFor(std::size_t user) const {
   assert(user < num_users());
-  const Cohort& cohort = cohorts_[user_cohort_[user]];
-  const LossEvaluator* forward = cohort.forward.get();
-  const std::size_t join = user_join_[user];
-  const std::size_t len = horizon() - join;
+  return BplFromEpsilons(user, EpsilonsFor(user));
+}
+
+namespace {
+
+/// Equation 15 backwards over a spend sequence, with the same frozen-run
+/// rule as BPL: in a run of skips, once a step returns its input bits,
+/// the earlier steps of the run repeat them.
+std::vector<double> FplFromEpsilons(const LossEvaluator* forward,
+                                    const std::vector<double>& eps) {
+  const std::size_t len = eps.size();
   std::vector<double> out(len);
   for (std::size_t idx = len; idx-- > 0;) {
-    const std::size_t t = join + idx;
-    double fpl = ParticipatedRaw(user, t) ? schedule_[t] : 0.0;
+    double fpl = eps[idx];
     if (idx + 1 < len && forward != nullptr) {
       fpl += forward->Evaluate(out[idx + 1]);
     }
     out[idx] = fpl;
+    if (eps[idx] == 0.0 && idx + 1 < len && SameBits(fpl, out[idx + 1])) {
+      while (idx > 0 && eps[idx - 1] == 0.0) out[--idx] = fpl;
+    }
   }
   return out;
 }
 
+}  // namespace
+
+std::vector<double> AccountantBank::FplSeriesFor(std::size_t user) const {
+  assert(user < num_users());
+  return FplFromEpsilons(cohorts_[user_cohort_[user]].forward.get(),
+                         EpsilonsFor(user));
+}
+
 std::vector<double> AccountantBank::TplSeriesFor(std::size_t user) const {
-  const std::vector<double> eps = EpsilonsFor(user);
-  const std::vector<double> bpl = BplSeriesFor(user);
-  const std::vector<double> fpl = FplSeriesFor(user);
-  std::vector<double> out(bpl.size());
+  assert(user < num_users());
+  return TplSeriesFor(user, EpsilonsFor(user));
+}
+
+std::vector<double> AccountantBank::TplSeriesFor(
+    std::size_t user, const std::vector<double>& epsilons) const {
+  assert(user < num_users() && epsilons.size() == user_horizon(user));
+  std::vector<double> out = BplFromEpsilons(user, epsilons);
+  const std::vector<double> fpl =
+      FplFromEpsilons(cohorts_[user_cohort_[user]].forward.get(), epsilons);
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = bpl[i] + fpl[i] - eps[i];
+    out[i] = out[i] + fpl[i] - epsilons[i];
   }
   return out;
 }
@@ -436,6 +534,12 @@ double AccountantBank::OverallAlpha() const {
 
 TemporalLossCache::Stats AccountantBank::cache_stats() const {
   return cache_ != nullptr ? cache_->stats() : TemporalLossCache::Stats{};
+}
+
+std::size_t AccountantBank::num_live_slots() const {
+  std::size_t live = 0;
+  for (const Cohort& cohort : cohorts_) live += cohort.live.size();
+  return live;
 }
 
 const TemporalCorrelations& AccountantBank::user_correlations(
@@ -538,6 +642,12 @@ StatusOr<AccountantBank> AccountantBank::Restore(
     bank.user_join_[u] = user.join;
     cohort.bpl_last[bank.user_slot_[u]] = user.bpl_last;
     cohort.eps_sum[bank.user_slot_[u]] = user.eps_sum;
+    // A skip step maps BPL 0 to 0 and leaves a non-negative sum alone;
+    // anything else (including a -0.0 column) may still move.
+    if (user.bpl_last > 0.0 || std::signbit(user.bpl_last) ||
+        std::signbit(user.eps_sum)) {
+      MarkLive(cohort, bank.user_slot_[u]);
+    }
   }
   return bank;
 }

@@ -11,9 +11,24 @@
 /// accountant per user. Users are grouped into **cohorts** keyed by
 /// their interned (P^B, P^F) transition-matrix pair; everyone in a
 /// cohort shares one pair of loss evaluators — precomputed loss
-/// envelopes (core/loss_envelope.h) — so each release costs one
-/// envelope evaluation per (cohort, distinct running alpha) followed by
-/// a tight update loop over the cohort's column slices.
+/// envelopes (core/loss_envelope.h).
+///
+/// A release costs work proportional to the users whose state still
+/// moves, not to the fleet:
+///
+///   * a release everyone joins is one vectorized column sweep over
+///     all slots (src/kernels/), fanned out over the pool only when
+///     each task gets at least kMinSweepSlotsPerTask slots;
+///   * a masked release walks the participants plus each cohort's
+///     **live list**: the slots whose next skip step could still
+///     change them. A skipping user's BPL decays under L^B; once a
+///     skip step returns its input bits (BPL = L^B(BPL) + 0.0), L^B is
+///     pure, so every later skip is a bitwise no-op and the slot
+///     leaves the list until it participates again.
+///
+/// Series queries apply the same rule along time: in a run of skips,
+/// once a step returns its input bits, the rest of the run is filled
+/// without evaluating.
 ///
 /// Heterogeneous schedules: `RecordRelease(epsilon, participants)`
 /// charges eps only to the listed users; everyone else records a skip
@@ -104,6 +119,11 @@ class AccountantBank {
   std::vector<double> BplSeriesFor(std::size_t user) const;
   std::vector<double> FplSeriesFor(std::size_t user) const;
   std::vector<double> TplSeriesFor(std::size_t user) const;
+  /// The same TPL series from the user's spend sequence as returned by
+  /// EpsilonsFor(user), so a caller that needs both walks the stored
+  /// participation rows once.
+  std::vector<double> TplSeriesFor(std::size_t user,
+                                   const std::vector<double>& epsilons) const;
   /// max_t TPL_t over the user's series (0 when empty).
   double MaxTplFor(std::size_t user) const;
   /// @}
@@ -121,6 +141,11 @@ class AccountantBank {
 
   /// Zeroed when share_loss_cache is false.
   TemporalLossCache::Stats cache_stats() const;
+
+  /// Slots on the cohorts' live lists: those a masked release still
+  /// steps even when their user skips. Frozen slots (a skip step leaves
+  /// them bitwise unchanged) are not counted.
+  std::size_t num_live_slots() const;
 
   /// \name Durable-state hooks (the snapshot layer in src/server/ is
   /// built on these).
@@ -183,16 +208,30 @@ class AccountantBank {
     std::vector<std::uint32_t> users;  ///< global user index per slot
     std::vector<double> bpl_last;      ///< Equation 13 running state
     std::vector<double> eps_sum;       ///< lifetime accrued budget
+    /// Slots a skip step may still change. Invariant: a slot is off
+    /// this list only if a skip step leaves bpl_last and eps_sum
+    /// bitwise unchanged (then every later skip does too). Being on it
+    /// with nothing to do is safe; being off it wrongly is not.
+    std::vector<std::uint32_t> live;
+    std::vector<std::uint8_t> in_live;  ///< per slot: listed in `live`
   };
 
   std::size_t FindOrCreateCohort(const TemporalCorrelations& correlations);
-  /// Advances bpl_last/eps_sum for flat slots [lo, hi) (the
-  /// cohort-slice update loop; deterministic for any chunking). Runs on
-  /// the dispatched vector kernels (src/kernels/), staging losses and
-  /// mask-selected budget adds in per-thread scratch buffers.
-  void StepSlots(std::size_t lo, std::size_t hi, double epsilon,
-                 const std::vector<std::uint64_t>& mask);
+  /// Unmasked release: advances bpl_last/eps_sum for flat slots
+  /// [lo, hi) by epsilon on the dispatched vector kernels (src/kernels/),
+  /// staging losses in per-thread scratch (deterministic for any
+  /// chunking).
+  void StepSlots(std::size_t lo, std::size_t hi, double epsilon);
+  /// Masked release: steps flat live-list entries [lo, hi) (see
+  /// live_offsets_) and clears in_live for each slot a skip step left
+  /// bitwise unchanged; Record compacts the lists afterwards.
+  void StepLive(std::size_t lo, std::size_t hi, double epsilon);
+  /// Puts \p slot on \p cohort's live list (idempotent).
+  static void MarkLive(Cohort& cohort, std::uint32_t slot);
   Status Record(double epsilon, const std::vector<std::size_t>* participants);
+  /// Equation 13 over the user's spend sequence \p eps.
+  std::vector<double> BplFromEpsilons(std::size_t user,
+                                      const std::vector<double>& eps) const;
   bool ParticipatedRaw(std::size_t user, std::size_t t) const;
   /// Rebuilds cohort_offsets_ from the cohort sizes when AddUser has
   /// invalidated it (prefix sum, O(cohorts) — enrollment itself is O(1)
@@ -217,6 +256,9 @@ class AccountantBank {
   /// Reusable staging for Record's participation bitmask — rebuilt (not
   /// reallocated) per masked release, packed via PackedMask::FromWordSpan.
   std::vector<std::uint64_t> mask_scratch_;
+  /// Flat live-entry space of one masked release: cohort c's live list
+  /// is [live_offsets_[c], live_offsets_[c+1]) (rebuilt per release).
+  std::vector<std::size_t> live_offsets_;
 
   // Per-user global state (SoA).
   std::vector<std::uint32_t> user_join_;    ///< global release at join

@@ -7,10 +7,13 @@
 /// -> ack) and the compaction/recovery phases.
 ///
 /// The recorder is a fixed-capacity ring of completed spans. Writers
-/// claim a slot with one relaxed fetch_add and fill it in place — no
-/// locks, no allocation — so tracing is safe from every shard worker
-/// and the net I/O thread at once; once the ring wraps, the oldest
-/// spans are overwritten. Recording is off by default and spans cost
+/// claim a sequence number with one relaxed fetch_add, take ownership
+/// of its slot with a CAS on the slot's sequence word, and fill it in
+/// place — no locks, no allocation — so tracing is safe from every
+/// shard worker and the net I/O thread at once; once the ring wraps,
+/// the oldest spans are overwritten. A slot has one writer at a time:
+/// a writer that finds its slot owned by another writer, or already
+/// holding a newer span, drops its own span instead of tearing one. Recording is off by default and spans cost
 /// a single relaxed load when disabled (`ScopedSpan` skips even the
 /// clock read), which keeps the bank-step hot path untouched: per-user
 /// TPL series are bitwise identical with tracing on or off.
@@ -23,14 +26,16 @@
 /// the server exposes it via `kTraceDump` + `tcdp serve --trace-out`.
 ///
 /// A dump taken while writers are active is a best-effort snapshot:
-/// slots being overwritten mid-read can surface a torn span, which the
-/// dumper filters by dropping events whose sequence moved during the
-/// copy. Under the intended use (dump on demand, writers quiescent or
-/// slow) the window is nanoseconds wide.
+/// the span fields are atomics, and the dumper drops every span whose
+/// sequence word moved while it copied the fields out (a seqlock read),
+/// so it never renders a mix of two spans.
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
 namespace tcdp {
 namespace obs {
@@ -53,19 +58,20 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// (Re)arms the ring with \p capacity slots and enables recording;
-  /// not safe concurrently with Record (call before serving).
+  /// (Re)arms a fresh ring of \p capacity slots and enables recording.
+  /// Safe concurrently with Record: a writer that loaded the previous
+  /// ring finishes into it, and replaced rings stay allocated until the
+  /// recorder is destroyed (Start is rare: once per serve or bench run).
   void Start(std::size_t capacity);
   void Stop() { enabled_.store(false, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   void Record(const TraceEvent& event);
 
-  std::size_t capacity() const { return capacity_; }
-  /// Total spans ever recorded (>= capacity means the ring wrapped).
-  std::uint64_t recorded() const {
-    return next_.load(std::memory_order_relaxed);
-  }
+  std::size_t capacity() const;
+  /// Spans recorded since the last Start (>= capacity means the ring
+  /// wrapped).
+  std::uint64_t recorded() const;
   /// Spans currently held (min(recorded, capacity)).
   std::size_t size() const;
 
@@ -76,11 +82,12 @@ class TraceRecorder {
 
  private:
   struct Slot;
+  struct Ring;
 
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> next_{0};
-  std::size_t capacity_ = 0;
-  Slot* slots_ = nullptr;
+  std::atomic<Ring*> ring_{nullptr};  ///< the armed ring, null before Start
+  std::mutex rings_mu_;               ///< serializes Start
+  std::vector<std::unique_ptr<Ring>> rings_;  ///< every ring ever armed
 };
 
 /// Process-global recorder used by the instrumentation points.

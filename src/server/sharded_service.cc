@@ -1185,7 +1185,7 @@ StatusOr<UserReport> ShardedReleaseService::Query(const std::string& name) {
   report.horizon = shard.bank.user_horizon(local);
   report.user_level_tpl = shard.bank.UserEpsSum(local);
   report.epsilons = shard.bank.EpsilonsFor(local);
-  report.tpl_series = shard.bank.TplSeriesFor(local);
+  report.tpl_series = shard.bank.TplSeriesFor(local, report.epsilons);
   // The same max as AccountantBank::MaxTplFor, without recomputing the
   // O(T) series a second time.
   for (double v : report.tpl_series) {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,6 +116,79 @@ TEST(TraceRecorder, ConcurrentWritersNeverTearTheCount) {
   // The dump must stay parseable after heavy wrapping.
   const std::string json = recorder.DumpJson();
   EXPECT_NE(json.find("\"mt\""), std::string::npos);
+}
+
+TEST(TraceRecorder, DumpWhileWritingNeverRendersAMixedSpan) {
+  // A tiny ring wraps constantly, so writers keep landing on slots the
+  // dumper is copying. Every field of a span encodes its writer: a
+  // rendered span that mixes two writers' fields is a torn read.
+  TraceRecorder recorder;
+  recorder.Start(8);
+  constexpr int kThreads = 4;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> workers;
+  for (int t = 1; t <= kThreads; ++t) {
+    workers.emplace_back([&recorder, &stop, t] {
+      TraceEvent event;
+      event.name = "mixed";
+      event.category = "test";
+      event.start_ns = static_cast<std::uint64_t>(t) * 1000;
+      event.duration_ns = static_cast<std::uint64_t>(t) * 1000;
+      event.thread_id = static_cast<std::uint32_t>(t);
+      event.arg = static_cast<std::uint64_t>(t);
+      while (!stop.load(std::memory_order_relaxed)) recorder.Record(event);
+    });
+  }
+  // Counts the spans a dump renders, failing on any mixed one.
+  const auto check = [](const std::string& json) {
+    int spans = 0;
+    std::size_t at = 0;
+    while ((at = json.find("\"ts\": ", at)) != std::string::npos) {
+      double ts = 0.0;
+      double dur = 0.0;
+      unsigned tid = 0;
+      unsigned long long arg = 0;
+      EXPECT_EQ(std::sscanf(json.c_str() + at,
+                            "\"ts\": %lf, \"dur\": %lf, \"pid\": 1, "
+                            "\"tid\": %u, \"args\": {\"arg\": %llu}",
+                            &ts, &dur, &tid, &arg),
+                4)
+          << json.substr(at, 120);
+      EXPECT_EQ(ts, static_cast<double>(tid));
+      EXPECT_EQ(dur, static_cast<double>(tid));
+      EXPECT_EQ(arg, tid);
+      ++spans;
+      ++at;
+    }
+    return spans;
+  };
+  while (recorder.recorded() < 1000) std::this_thread::yield();
+  for (int round = 0; round < 500; ++round) check(recorder.DumpJson());
+  stop.store(true);
+  for (auto& worker : workers) worker.join();
+  EXPECT_GT(check(recorder.DumpJson()), 0);
+}
+
+TEST(TraceRecorder, StartIsSafeAgainstConcurrentRecord) {
+  TraceRecorder recorder;
+  recorder.Start(16);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&recorder, &stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        recorder.Record(MakeEvent("restart", 1));
+      }
+    });
+  }
+  for (std::size_t round = 0; round < 50; ++round) {
+    recorder.Start(1 + round % 7);
+    EXPECT_EQ(recorder.capacity(), 1 + round % 7);
+  }
+  stop.store(true);
+  for (auto& worker : workers) worker.join();
+  EXPECT_LE(recorder.size(), recorder.capacity());
+  EXPECT_NE(recorder.DumpJson().find("\"traceEvents\""), std::string::npos);
 }
 
 TEST(TraceThreadIdTest, StablePerThreadAndDistinctAcrossThreads) {
