@@ -1,9 +1,10 @@
 #include "core/tpl_accountant.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <numeric>
-#include <sstream>
+#include <string_view>
 
 #include "core/loss_cache.h"
 #include "markov/io.h"
@@ -153,30 +154,99 @@ StatusOr<double> TplAccountant::MaxWindowTpl(std::size_t w) const {
 
 std::string SerializeAccountantImage(const AccountantImage& image) {
   const TemporalCorrelations& corr = image.correlations;
-  std::ostringstream out;
-  out << "tcdp-accountant-v2\n";
-  out.precision(17);
-  out << "quantization " << image.cache_alpha_resolution << "\n";
-  out << "backward " << (corr.has_backward() ? corr.backward().size() : 0)
-      << "\n";
-  if (corr.has_backward()) {
-    out << SerializeStochasticMatrix(corr.backward());
+  const std::size_t n = corr.domain_size();
+  std::string out;
+  out.reserve(64 + 2 * n * n * 24 + image.epsilons.size() * 24);
+  out += "tcdp-accountant-v2\nquantization ";
+  AppendDoubleText(&out, image.cache_alpha_resolution);
+  out += "\nbackward ";
+  out += std::to_string(corr.has_backward() ? corr.backward().size() : 0);
+  out += '\n';
+  if (corr.has_backward()) AppendStochasticMatrix(&out, corr.backward());
+  out += "forward ";
+  out += std::to_string(corr.has_forward() ? corr.forward().size() : 0);
+  out += '\n';
+  if (corr.has_forward()) AppendStochasticMatrix(&out, corr.forward());
+  out += "epsilons ";
+  out += std::to_string(image.epsilons.size());
+  out += '\n';
+  for (double e : image.epsilons) {
+    AppendDoubleText(&out, e);
+    out += '\n';
   }
-  out << "forward " << (corr.has_forward() ? corr.forward().size() : 0)
-      << "\n";
-  if (corr.has_forward()) {
-    out << SerializeStochasticMatrix(corr.forward());
-  }
-  out << "epsilons " << image.epsilons.size() << "\n";
-  out.precision(17);
-  for (double e : image.epsilons) out << e << "\n";
-  return out.str();
+  return out;
 }
 
+namespace {
+
+/// In-place scanner over an accountant blob: getline-style lines and
+/// whitespace-delimited tokens, as the format was first read with
+/// std::istream.
+class BlobScanner {
+ public:
+  explicit BlobScanner(std::string_view text) : text_(text) {}
+
+  /// The next line without its '\n'; false at the end of the text.
+  bool ReadLine(std::string_view* line) {
+    if (pos_ >= text_.size()) return false;
+    std::size_t eol = text_.find('\n', pos_);
+    if (eol == std::string_view::npos) eol = text_.size();
+    *line = text_.substr(pos_, eol - pos_);
+    pos_ = std::min(eol + 1, text_.size());
+    return true;
+  }
+
+  /// Skips whitespace, then returns the token up to the next whitespace.
+  bool ReadToken(std::string_view* token) {
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && !IsSpace(text_[pos_])) ++pos_;
+    *token = text_.substr(start, pos_ - start);
+    return !token->empty();
+  }
+
+  bool ReadKeyword(std::string_view keyword) {
+    std::string_view token;
+    return ReadToken(&token) && token == keyword;
+  }
+
+  bool ReadCount(std::size_t* count) {
+    std::string_view token;
+    if (!ReadToken(&token)) return false;
+    const char* last = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), last, *count);
+    return ec == std::errc() && ptr == last;
+  }
+
+  bool ReadDouble(double* value) {
+    std::string_view token;
+    return ReadToken(&token) && ParseDoubleText(token, value);
+  }
+
+  /// Drops the character after a count (its line's '\n').
+  void SkipChar() {
+    if (pos_ < text_.size()) ++pos_;
+  }
+
+  std::size_t pos() const { return pos_; }
+  std::string_view text() const { return text_; }
+
+ private:
+  static bool IsSpace(char ch) {
+    return ch == ' ' || ch == '\n' || ch == '\t' || ch == '\r' ||
+           ch == '\v' || ch == '\f';
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+}  // namespace
+
 StatusOr<AccountantImage> ParseAccountantImage(const std::string& text) {
-  std::istringstream in(text);
-  std::string header;
-  if (!std::getline(in, header) ||
+  BlobScanner in(text);
+  std::string_view header;
+  if (!in.ReadLine(&header) ||
       (header != "tcdp-accountant-v1" && header != "tcdp-accountant-v2")) {
     return Status::InvalidArgument(
         "ParseAccountantImage: bad header (expected tcdp-accountant-v1 or "
@@ -185,21 +255,18 @@ StatusOr<AccountantImage> ParseAccountantImage(const std::string& text) {
   AccountantImage image;
   // v1 predates cached accounting: always restores direct evaluators.
   if (header == "tcdp-accountant-v2") {
-    std::string word;
-    if (!(in >> word >> image.cache_alpha_resolution) ||
-        word != "quantization" ||
+    if (!in.ReadKeyword("quantization") ||
+        !in.ReadDouble(&image.cache_alpha_resolution) ||
         !std::isfinite(image.cache_alpha_resolution)) {
       return Status::InvalidArgument(
           "ParseAccountantImage: expected 'quantization <step>'");
     }
-    in.ignore();  // trailing newline
   }
   using OptionalMatrix = std::optional<StochasticMatrix>;
   auto read_matrix =
       [&](const std::string& keyword) -> StatusOr<OptionalMatrix> {
-    std::string word;
     std::size_t n = 0;
-    if (!(in >> word >> n) || word != keyword) {
+    if (!in.ReadKeyword(keyword) || !in.ReadCount(&n)) {
       return Status::InvalidArgument(
           "ParseAccountantImage: expected '" + keyword + " <n>'");
     }
@@ -210,23 +277,23 @@ StatusOr<AccountantImage> ParseAccountantImage(const std::string& text) {
           "ParseAccountantImage: declared " + keyword + " size " +
           std::to_string(n) + " exceeds the input");
     }
-    in.ignore();  // trailing newline
+    in.SkipChar();
     if (n == 0) return std::optional<StochasticMatrix>{};
-    std::string block;
-    std::string line;
+    const std::size_t block_start = in.pos();
+    std::string_view line;
     for (std::size_t r = 0; r < n; ++r) {
-      if (!std::getline(in, line)) {
+      if (!in.ReadLine(&line)) {
         return Status::InvalidArgument(
             "ParseAccountantImage: truncated " + keyword + " matrix");
       }
-      block += line;
-      block += '\n';
     }
     // Exact parse: blobs are machine-written, and a forgiving
     // renormalization would shift entries by ULPs — the restored
     // series would drift off the live one.
-    TCDP_ASSIGN_OR_RETURN(StochasticMatrix m,
-                          ParseStochasticMatrixExact(block));
+    TCDP_ASSIGN_OR_RETURN(
+        StochasticMatrix m,
+        ParseStochasticMatrixExact(
+            in.text().substr(block_start, in.pos() - block_start)));
     if (m.size() != n) {
       return Status::InvalidArgument(
           "ParseAccountantImage: " + keyword + " matrix size " +
@@ -238,9 +305,8 @@ StatusOr<AccountantImage> ParseAccountantImage(const std::string& text) {
   TCDP_ASSIGN_OR_RETURN(auto backward, read_matrix("backward"));
   TCDP_ASSIGN_OR_RETURN(auto forward, read_matrix("forward"));
 
-  std::string word;
   std::size_t count = 0;
-  if (!(in >> word >> count) || word != "epsilons") {
+  if (!in.ReadKeyword("epsilons") || !in.ReadCount(&count)) {
     return Status::InvalidArgument(
         "ParseAccountantImage: expected 'epsilons <count>'");
   }
@@ -254,7 +320,7 @@ StatusOr<AccountantImage> ParseAccountantImage(const std::string& text) {
   }
   image.epsilons.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
-    if (!(in >> image.epsilons[i])) {
+    if (!in.ReadDouble(&image.epsilons[i])) {
       return Status::InvalidArgument(
           "ParseAccountantImage: truncated epsilon list");
     }

@@ -1,6 +1,8 @@
 #include "markov/io.h"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -10,12 +12,16 @@
 namespace tcdp {
 namespace {
 
+bool IsFieldSeparator(char ch) {
+  return ch == ',' || ch == ' ' || ch == '\t' || ch == '\r';
+}
+
 /// Splits a line on commas and whitespace, skipping empty fields.
 std::vector<std::string> SplitFields(const std::string& line) {
   std::vector<std::string> fields;
   std::string current;
   for (char ch : line) {
-    if (ch == ',' || ch == ' ' || ch == '\t' || ch == '\r') {
+    if (IsFieldSeparator(ch)) {
       if (!current.empty()) {
         fields.push_back(current);
         current.clear();
@@ -28,7 +34,7 @@ std::vector<std::string> SplitFields(const std::string& line) {
   return fields;
 }
 
-bool IsCommentOrBlank(const std::string& line) {
+bool IsCommentOrBlank(std::string_view line) {
   for (char ch : line) {
     if (ch == '#') return true;
     if (ch != ' ' && ch != '\t' && ch != '\r') return false;
@@ -36,13 +42,12 @@ bool IsCommentOrBlank(const std::string& line) {
   return true;
 }
 
-StatusOr<double> ParseDouble(const std::string& field, std::size_t line_no) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(field.c_str(), &end);
-  if (end == field.c_str() || *end != '\0' || errno == ERANGE) {
+StatusOr<double> ParseDouble(std::string_view field, std::size_t line_no) {
+  double value = 0.0;
+  if (!ParseDoubleText(field, &value)) {
     return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                   ": cannot parse number '" + field + "'");
+                                   ": cannot parse number '" +
+                                   std::string(field) + "'");
   }
   return value;
 }
@@ -89,64 +94,108 @@ Status WriteFile(const std::string& path, const std::string& content) {
   return Status::OK();
 }
 
-}  // namespace
-
-namespace {
-
-StatusOr<Matrix> ParseMatrixRows(const std::string& text) {
-  std::vector<std::vector<double>> rows;
-  std::istringstream stream(text);
-  std::string line;
+StatusOr<Matrix> ParseMatrixRows(std::string_view text) {
+  std::vector<double> data;
+  std::size_t rows = 0;
+  std::size_t cols = 0;
   std::size_t line_no = 0;
-  while (std::getline(stream, line)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) eol = text.size();
+    const std::string_view line = text.substr(pos, eol - pos);
+    pos = eol + 1;
     ++line_no;
     if (IsCommentOrBlank(line)) continue;
-    std::vector<double> row;
-    for (const std::string& field : SplitFields(line)) {
-      TCDP_ASSIGN_OR_RETURN(double v, ParseDouble(field, line_no));
-      row.push_back(v);
+    const std::size_t row_start = data.size();
+    const char* p = line.data();
+    const char* end = p + line.size();
+    for (;;) {
+      while (p < end && IsFieldSeparator(*p)) ++p;
+      if (p == end) break;
+      // One pass per field: from_chars finds the field's end itself
+      // whenever the field is a plain decimal number.
+      double v = 0.0;
+      auto [q, ec] = std::from_chars(p, end, v);
+      if (ec != std::errc() || (q != end && !IsFieldSeparator(*q))) {
+        q = p;
+        while (q < end && !IsFieldSeparator(*q)) ++q;
+        TCDP_ASSIGN_OR_RETURN(
+            v, ParseDouble(std::string_view(p, q - p), line_no));
+      }
+      data.push_back(v);
+      p = q;
     }
-    if (!rows.empty() && row.size() != rows.front().size()) {
+    const std::size_t width = data.size() - row_start;
+    if (rows > 0 && width != cols) {
       return Status::InvalidArgument(
           "line " + std::to_string(line_no) + ": ragged row (got " +
-          std::to_string(row.size()) + " fields, expected " +
-          std::to_string(rows.front().size()) + ")");
+          std::to_string(width) + " fields, expected " +
+          std::to_string(cols) + ")");
     }
-    rows.push_back(std::move(row));
+    cols = width;
+    ++rows;
   }
-  if (rows.empty()) {
+  if (rows == 0) {
     return Status::InvalidArgument("matrix text contains no data rows");
   }
-  Matrix m(rows.size(), rows.front().size());
-  for (std::size_t r = 0; r < rows.size(); ++r) m.SetRow(r, rows[r]);
-  return m;
+  return Matrix::FromFlat(rows, cols, std::move(data));
 }
 
 }  // namespace
 
-StatusOr<StochasticMatrix> ParseStochasticMatrix(const std::string& text) {
+bool ParseDoubleText(std::string_view token, double* value) {
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, *value);
+  if (ec == std::errc() && ptr == last) return true;
+  if (ec == std::errc::result_out_of_range) return false;
+  // from_chars lacks a few spellings strtod takes (a leading '+', hex
+  // floats, leading whitespace); those rare tokens keep strtod's grammar.
+  const std::string copy(token);
+  errno = 0;
+  char* end = nullptr;
+  const double parsed = std::strtod(copy.c_str(), &end);
+  if (end == copy.c_str() || *end != '\0') return false;
+  // glibc flags exact subnormals with ERANGE too; only overflow and
+  // underflow to zero lose the token's value.
+  if (errno == ERANGE && (parsed == 0.0 || std::isinf(parsed))) return false;
+  *value = parsed;
+  return true;
+}
+
+void AppendDoubleText(std::string* out, double value) {
+  char buffer[32];  // "%.17g" needs at most 24 ("-1.2345678901234567e-308")
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                    std::chars_format::general, 17);
+  out->append(buffer, result.ptr);
+}
+
+StatusOr<StochasticMatrix> ParseStochasticMatrix(std::string_view text) {
   TCDP_ASSIGN_OR_RETURN(Matrix m, ParseMatrixRows(text));
   return StochasticMatrix::Create(std::move(m));
 }
 
-StatusOr<StochasticMatrix> ParseStochasticMatrixExact(
-    const std::string& text) {
+StatusOr<StochasticMatrix> ParseStochasticMatrixExact(std::string_view text) {
   TCDP_ASSIGN_OR_RETURN(Matrix m, ParseMatrixRows(text));
   return StochasticMatrix::CreateExact(std::move(m));
 }
 
-std::string SerializeStochasticMatrix(const StochasticMatrix& matrix,
-                                      char separator) {
-  std::ostringstream out;
-  out.precision(17);
+void AppendStochasticMatrix(std::string* out, const StochasticMatrix& matrix,
+                            char separator) {
   for (std::size_t r = 0; r < matrix.size(); ++r) {
     for (std::size_t c = 0; c < matrix.size(); ++c) {
-      if (c > 0) out << separator;
-      out << matrix.At(r, c);
+      if (c > 0) out->push_back(separator);
+      AppendDoubleText(out, matrix.At(r, c));
     }
-    out << '\n';
+    out->push_back('\n');
   }
-  return out.str();
+}
+
+std::string SerializeStochasticMatrix(const StochasticMatrix& matrix,
+                                      char separator) {
+  std::string out;
+  out.reserve(matrix.size() * matrix.size() * 24);
+  AppendStochasticMatrix(&out, matrix, separator);
+  return out;
 }
 
 StatusOr<StochasticMatrix> LoadStochasticMatrix(const std::string& path) {

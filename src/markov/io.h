@@ -11,6 +11,7 @@
 ///    0-based state indices.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -23,19 +24,33 @@ namespace tcdp {
 /// on ragged rows, non-numeric fields, or rows violating stochasticity.
 /// Rows are forgivingly renormalized (Create semantics) — right for
 /// hand-authored files, wrong for bitwise round-trips.
-StatusOr<StochasticMatrix> ParseStochasticMatrix(const std::string& text);
+StatusOr<StochasticMatrix> ParseStochasticMatrix(std::string_view text);
 
 /// \brief Parses with CreateExact semantics: entries keep their exact
 /// bit patterns (no renormalization). The round-trip path for
 /// machine-written matrices — accountant blobs and the release
 /// service's WAL/snapshots parse through this so replayed accounting
 /// stays bitwise identical.
-StatusOr<StochasticMatrix> ParseStochasticMatrixExact(
-    const std::string& text);
+StatusOr<StochasticMatrix> ParseStochasticMatrixExact(std::string_view text);
 
 /// \brief Serializes with full double precision, one row per line.
 std::string SerializeStochasticMatrix(const StochasticMatrix& matrix,
                                       char separator = ',');
+
+/// \brief Appends SerializeStochasticMatrix(matrix, separator) to \p out.
+void AppendStochasticMatrix(std::string* out, const StochasticMatrix& matrix,
+                            char separator = ',');
+
+/// \brief Appends \p value exactly as printf("%.17g") renders it: the one
+/// number format of every machine-written matrix and accountant blob.
+/// Seventeen significant digits round-trip any finite double bitwise.
+void AppendDoubleText(std::string* out, double value);
+
+/// \brief Parses one whole number token of the matrix grammar: what
+/// strtod accepts for the complete token (signs, hex floats, inf/nan),
+/// except values that overflow or underflow to zero. Subnormals parse
+/// exactly, so every finite value AppendDoubleText writes round-trips.
+bool ParseDoubleText(std::string_view token, double* value);
 
 /// \brief Reads a matrix from a file. NotFound if unreadable.
 StatusOr<StochasticMatrix> LoadStochasticMatrix(const std::string& path);

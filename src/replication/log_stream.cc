@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -23,6 +22,7 @@
 #include "obs/metrics.h"
 #include "obs/watchdog.h"
 #include "replication/repl_messages.h"
+#include "server/event_log.h"
 
 namespace tcdp {
 namespace replication {
@@ -79,15 +79,6 @@ struct ReplObs {
     return instruments;
   }
 };
-
-/// Reads a file whole (the directory MANIFEST: a few hundred bytes).
-StatusOr<std::string> ReadFileText(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  return contents;
-}
 
 /// Pulls `shards N` out of the MANIFEST text. The replication layer
 /// needs only the shard count; everything else is the service's
@@ -187,7 +178,7 @@ StatusOr<std::unique_ptr<LogStreamServer>> LogStreamServer::Listen(
 
   TCDP_ASSIGN_OR_RETURN(
       server->manifest_text_,
-      ReadFileText(server->options_.log_dir + "/MANIFEST"));
+      server::ReadFileBytes(server->options_.log_dir + "/MANIFEST"));
   TCDP_ASSIGN_OR_RETURN(server->num_shards_,
                         ParseManifestShards(server->manifest_text_));
   if (server->manifest_text_.size() > net::kMaxFramePayload / 2) {

@@ -6,19 +6,13 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 namespace tcdp {
 namespace server {
 
 Status PersistAnchorCopy(const std::string& snap_path,
                          const std::string& anchor_path) {
-  std::ifstream in(snap_path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("PersistAnchorCopy: cannot read " + snap_path);
-  }
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
+  TCDP_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(snap_path));
   const std::string tmp_path = anchor_path + ".tmp";
   const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
                         0644);
@@ -52,11 +46,7 @@ Status PersistAnchorCopy(const std::string& snap_path,
     return Status::Internal("PersistAnchorCopy: close " + tmp_path + ": " +
                             std::strerror(errno));
   }
-  if (std::rename(tmp_path.c_str(), anchor_path.c_str()) != 0) {
-    return Status::Internal("PersistAnchorCopy: rename to " + anchor_path +
-                            " failed");
-  }
-  return Status::OK();
+  return DurableRename(tmp_path, anchor_path);
 }
 
 StatusOr<WalBase> InspectWalBase(const ReadLogResult& log) {

@@ -71,11 +71,11 @@ struct CompactionResult {
 };
 
 /// \brief Atomically copies the snapshot at \p snap_path to
-/// \p anchor_path (tmp + fdatasync + rename). Compaction persists its
-/// anchor this way BEFORE rewriting the WAL: later snapshots overwrite
-/// `shard-<i>.snap` at horizons that may not yet be durable on every
-/// shard, and the anchor at exactly the compaction base is what
-/// recovery falls back to when that happens.
+/// \p anchor_path (tmp + fdatasync + rename + directory fsync).
+/// Compaction persists its anchor this way BEFORE rewriting the WAL:
+/// later snapshots overwrite `shard-<i>.snap` at horizons that may not
+/// yet be durable on every shard, and the anchor at exactly the
+/// compaction base is what recovery falls back to when that happens.
 Status PersistAnchorCopy(const std::string& snap_path,
                          const std::string& anchor_path);
 

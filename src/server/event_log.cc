@@ -1,11 +1,13 @@
 #include "server/event_log.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <filesystem>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -58,6 +60,8 @@ bool ValidEventType(std::uint8_t type) {
     case EventType::kSnapHeader:
     case EventType::kSnapUser:
     case EventType::kSnapRelease:
+    case EventType::kSnapCohort:
+    case EventType::kSnapMember:
       return true;
   }
   return false;
@@ -189,13 +193,54 @@ Status EventLogWriter::Close() {
   return Status::OK();
 }
 
-StatusOr<ReadLogResult> ReadEventLog(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("ReadEventLog: cannot open " + path);
+StatusOr<std::string> ReadFileBytes(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::NotFound("cannot open " + path);
+  struct stat st;
+  if (::fstat(fd, &st) < 0) {
+    const Status failed = ErrnoStatus("fstat", path);
+    ::close(fd);
+    return failed;
   }
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
+  // One spare byte: a file that has not grown ends in a short read.
+  std::string contents(static_cast<std::size_t>(st.st_size) + 1, '\0');
+  std::size_t got = 0;
+  for (;;) {
+    if (got == contents.size()) contents.resize(2 * contents.size());
+    const ssize_t n = ::read(fd, &contents[got], contents.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const Status failed = ErrnoStatus("read", path);
+      ::close(fd);
+      return failed;
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  contents.resize(got);
+  return contents;
+}
+
+Status DurableRename(const std::string& from, const std::string& to) {
+  if (std::rename(from.c_str(), to.c_str()) != 0) {
+    return ErrnoStatus("rename " + from + " to", to);
+  }
+  std::string dir = std::filesystem::path(to).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return ErrnoStatus("open directory", dir);
+  if (::fsync(fd) < 0) {
+    const Status failed = ErrnoStatus("fsync directory", dir);
+    ::close(fd);
+    return failed;
+  }
+  ::close(fd);
+  return Status::OK();
+}
+
+StatusOr<ReadLogResult> ReadEventLog(const std::string& path) {
+  TCDP_ASSIGN_OR_RETURN(const std::string contents, ReadFileBytes(path));
   if (contents.size() < sizeof(kMagic) ||
       std::memcmp(contents.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("ReadEventLog: " + path +

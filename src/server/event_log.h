@@ -47,8 +47,11 @@ enum class EventType : std::uint8_t {
   kRouterEndpoint = 6,  ///< router journal: an endpoint added to (or
                         ///< tombstoned off) the ring
   kSnapHeader = 16,   ///< snapshot: counts + quantization
-  kSnapUser = 17,     ///< snapshot: one user (v2 accountant blob + state)
+  kSnapUser = 17,     ///< v1 snapshot (read-only): one user with its
+                      ///< own accountant blob + state
   kSnapRelease = 18,  ///< snapshot: one historical release row
+  kSnapCohort = 19,   ///< v2 snapshot: one distinct correlation pair
+  kSnapMember = 20,   ///< v2 snapshot: one user's state + cohort index
 };
 
 struct EventRecord {
@@ -121,6 +124,15 @@ StatusOr<ReadLogResult> ReadEventLog(const std::string& path);
 /// \brief Truncates \p path to \p size bytes (recovery cutting a torn
 /// tail before reopening for append).
 Status TruncateFile(const std::string& path, std::uint64_t size);
+
+/// \brief Reads the whole file at \p path in one sized read. NotFound
+/// when it cannot be opened.
+StatusOr<std::string> ReadFileBytes(const std::string& path);
+
+/// \brief rename(2)s \p from onto \p to, then fsyncs \p to's parent
+/// directory so the new name itself survives a crash. The caller must
+/// already have synced \p from's data.
+Status DurableRename(const std::string& from, const std::string& to);
 
 }  // namespace server
 }  // namespace tcdp

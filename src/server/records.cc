@@ -18,6 +18,19 @@ std::string CorrelationsBlob(const AccountantImage& image) {
   return SerializeAccountantImage(stripped);
 }
 
+/// Decodes a length-prefixed correlations blob; \p what names the record.
+StatusOr<AccountantImage> ReadCorrelationsBlob(BinaryCursor* cursor,
+                                               const char* what) {
+  std::string blob;
+  TCDP_RETURN_IF_ERROR(cursor->ReadLengthPrefixed(&blob));
+  TCDP_ASSIGN_OR_RETURN(AccountantImage image, ParseAccountantImage(blob));
+  if (!image.epsilons.empty()) {
+    return Status::InvalidArgument(
+        std::string(what) + ": embedded accountant blob carries history");
+  }
+  return image;
+}
+
 Status ExpectConsumed(const BinaryCursor& cursor, const char* what) {
   if (!cursor.empty()) {
     return Status::InvalidArgument(std::string(what) +
@@ -81,13 +94,8 @@ StatusOr<AddUserRecord> DecodeAddUser(const std::string& payload) {
   BinaryCursor cursor(payload);
   AddUserRecord record;
   TCDP_RETURN_IF_ERROR(cursor.ReadLengthPrefixed(&record.name));
-  std::string blob;
-  TCDP_RETURN_IF_ERROR(cursor.ReadLengthPrefixed(&blob));
-  TCDP_ASSIGN_OR_RETURN(record.image, ParseAccountantImage(blob));
-  if (!record.image.epsilons.empty()) {
-    return Status::InvalidArgument(
-        "DecodeAddUser: embedded accountant blob carries history");
-  }
+  TCDP_ASSIGN_OR_RETURN(record.image,
+                        ReadCorrelationsBlob(&cursor, "DecodeAddUser"));
   TCDP_RETURN_IF_ERROR(ExpectConsumed(cursor, "DecodeAddUser"));
   return record;
 }
@@ -259,14 +267,46 @@ StatusOr<SnapUserRecord> DecodeSnapUser(const std::string& payload) {
   TCDP_RETURN_IF_ERROR(cursor.ReadVarint64(&record.join));
   TCDP_RETURN_IF_ERROR(cursor.ReadDoubleBits(&record.bpl_last));
   TCDP_RETURN_IF_ERROR(cursor.ReadDoubleBits(&record.eps_sum));
-  std::string blob;
-  TCDP_RETURN_IF_ERROR(cursor.ReadLengthPrefixed(&blob));
-  TCDP_ASSIGN_OR_RETURN(record.image, ParseAccountantImage(blob));
-  if (!record.image.epsilons.empty()) {
-    return Status::InvalidArgument(
-        "DecodeSnapUser: embedded accountant blob carries history");
-  }
+  TCDP_ASSIGN_OR_RETURN(record.image,
+                        ReadCorrelationsBlob(&cursor, "DecodeSnapUser"));
   TCDP_RETURN_IF_ERROR(ExpectConsumed(cursor, "DecodeSnapUser"));
+  return record;
+}
+
+std::string EncodeSnapCohort(const SnapCohortRecord& record) {
+  std::string out;
+  PutLengthPrefixed(&out, CorrelationsBlob(record.image));
+  return out;
+}
+
+StatusOr<SnapCohortRecord> DecodeSnapCohort(const std::string& payload) {
+  BinaryCursor cursor(payload);
+  SnapCohortRecord record;
+  TCDP_ASSIGN_OR_RETURN(record.image,
+                        ReadCorrelationsBlob(&cursor, "DecodeSnapCohort"));
+  TCDP_RETURN_IF_ERROR(ExpectConsumed(cursor, "DecodeSnapCohort"));
+  return record;
+}
+
+std::string EncodeSnapMember(const SnapMemberRecord& record) {
+  std::string out;
+  PutLengthPrefixed(&out, record.name);
+  PutVarint64(&out, record.join);
+  PutDoubleBits(&out, record.bpl_last);
+  PutDoubleBits(&out, record.eps_sum);
+  PutVarint64(&out, record.cohort);
+  return out;
+}
+
+StatusOr<SnapMemberRecord> DecodeSnapMember(const std::string& payload) {
+  BinaryCursor cursor(payload);
+  SnapMemberRecord record;
+  TCDP_RETURN_IF_ERROR(cursor.ReadLengthPrefixed(&record.name));
+  TCDP_RETURN_IF_ERROR(cursor.ReadVarint64(&record.join));
+  TCDP_RETURN_IF_ERROR(cursor.ReadDoubleBits(&record.bpl_last));
+  TCDP_RETURN_IF_ERROR(cursor.ReadDoubleBits(&record.eps_sum));
+  TCDP_RETURN_IF_ERROR(cursor.ReadVarint64(&record.cohort));
+  TCDP_RETURN_IF_ERROR(ExpectConsumed(cursor, "DecodeSnapMember"));
   return record;
 }
 

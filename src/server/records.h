@@ -103,15 +103,32 @@ struct SnapHeaderRecord {
   double alpha_resolution = -1.0;
 };
 
-/// Snapshot per-user record: name + running columns + the v2 accountant
-/// blob (correlations/quantization; empty epsilon list — the schedule
-/// and masks are snapshotted once globally, not per user).
+/// v1 snapshot per-user record (read-only; writers emit kSnapCohort +
+/// kSnapMember): name + running columns + the v2 accountant blob
+/// (correlations/quantization; empty epsilon list — the schedule and
+/// masks are snapshotted once globally, not per user).
 struct SnapUserRecord {
   std::string name;
   std::uint64_t join = 0;
   double bpl_last = 0.0;
   double eps_sum = 0.0;
   AccountantImage image;
+};
+
+/// v2 snapshot: one distinct correlation pair, carried once however many
+/// users share it, as the same blob kAddUser uses (empty epsilon list).
+struct SnapCohortRecord {
+  AccountantImage image;
+};
+
+/// v2 snapshot per-user record: name + running columns + the index of
+/// the user's kSnapCohort record among the snapshot's cohort records.
+struct SnapMemberRecord {
+  std::string name;
+  std::uint64_t join = 0;
+  double bpl_last = 0.0;
+  double eps_sum = 0.0;
+  std::uint64_t cohort = 0;
 };
 
 std::string EncodeManifest(const ManifestRecord& record);
@@ -138,6 +155,12 @@ StatusOr<SnapHeaderRecord> DecodeSnapHeader(const std::string& payload);
 
 std::string EncodeSnapUser(const SnapUserRecord& record);
 StatusOr<SnapUserRecord> DecodeSnapUser(const std::string& payload);
+
+std::string EncodeSnapCohort(const SnapCohortRecord& record);
+StatusOr<SnapCohortRecord> DecodeSnapCohort(const std::string& payload);
+
+std::string EncodeSnapMember(const SnapMemberRecord& record);
+StatusOr<SnapMemberRecord> DecodeSnapMember(const std::string& payload);
 
 }  // namespace server
 }  // namespace tcdp

@@ -8,18 +8,27 @@
 /// A snapshot is an event-log-framed file (same magic/CRC framing as
 /// the WAL) holding, in order:
 ///
-///   kSnapHeader    — applied WAL record count, horizon, user count
-///   kSnapUser * U  — per user: name, join, running columns, and the
-///                    "tcdp-accountant-v2" correlation blob
-///   kSnapRelease*T — the global schedule: eps + participation row
-///                    (word-RLE-packed) per historical release
+///   kSnapHeader     — applied WAL record count, horizon, user count
+///   kSnapCohort * C — one "tcdp-accountant-v2" correlation blob per
+///                     distinct (bitwise) pair, in order of the pair's
+///                     first appearance among the users
+///   kSnapMember * U — per user: name, join, running columns, and the
+///                     index of its cohort record
+///   kSnapRelease*T  — the global schedule: eps + participation row
+///                     (word-RLE-packed) per historical release
+///
+/// so readers check 1 + C + U + T records. Snapshots written before
+/// cohort records existed (v1: kSnapUser * U carrying each user's own
+/// blob, C = 0) still read — a compacted log's anchor may be one — but
+/// are never written.
 ///
 /// Restore rebuilds the bank via AccountantBank::Restore — no loss
 /// evaluations — and the recovered per-user series are bitwise
-/// identical to the live ones. Writes go to "<path>.tmp" and rename
-/// into place, so a crash mid-snapshot leaves the previous snapshot
-/// intact; the service fsyncs its WAL *before* snapshotting, so a
-/// snapshot never refers ahead of durable log state.
+/// identical to the live ones. Writes go to "<path>.tmp", are synced,
+/// and rename into place with the directory synced after, so a crash
+/// mid-snapshot leaves the previous snapshot intact; the service
+/// fsyncs its WAL *before* snapshotting, so a snapshot never refers
+/// ahead of durable log state.
 
 #include <cstdint>
 #include <string>
@@ -38,12 +47,13 @@ struct ShardSnapshot {
   std::vector<std::string> names;  ///< aligned with bank.users
   AccountantBank::Image bank;
   /// Quantization, carried in the header record (so a zero-user
-  /// shard's snapshot is self-describing); every per-user blob must
-  /// agree with it.
+  /// shard's snapshot is self-describing); every cohort (v1: per-user)
+  /// blob must agree with it.
   double alpha_resolution = -1.0;
 };
 
-/// \brief Atomically writes \p snapshot to \p path (tmp + rename).
+/// \brief Atomically writes \p snapshot to \p path (tmp + sync + rename
+/// + directory sync), in the v2 (cohort) layout.
 Status WriteShardSnapshot(const std::string& path,
                           const ShardSnapshot& snapshot);
 

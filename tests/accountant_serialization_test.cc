@@ -6,11 +6,14 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/accountant_bank.h"
 #include "core/tpl_accountant.h"
 #include "markov/stochastic_matrix.h"
@@ -119,6 +122,95 @@ AccountantBank::Image LiveImage(AccountantBank* bank) {
   EXPECT_TRUE(bank->RecordRelease(0.2, {0}).ok());
   EXPECT_TRUE(bank->RecordRelease(0.3).ok());
   return bank->ExportImage();
+}
+
+std::string PrintfG17(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
+/// The "tcdp-accountant-v2" layout as std::ostream at precision 17
+/// (i.e. printf "%.17g") has always rendered it.
+std::string ReferenceBlob(const AccountantImage& image) {
+  std::string out = "tcdp-accountant-v2\nquantization " +
+                    PrintfG17(image.cache_alpha_resolution) + "\n";
+  auto matrix = [&out](const char* keyword, bool present,
+                       const StochasticMatrix* m) {
+    out += std::string(keyword) + " " +
+           std::to_string(present ? m->size() : 0) + "\n";
+    if (!present) return;
+    for (std::size_t r = 0; r < m->size(); ++r) {
+      for (std::size_t c = 0; c < m->size(); ++c) {
+        out += (c > 0 ? "," : "") + PrintfG17(m->At(r, c));
+      }
+      out += "\n";
+    }
+  };
+  const TemporalCorrelations& corr = image.correlations;
+  matrix("backward", corr.has_backward(),
+         corr.has_backward() ? &corr.backward() : nullptr);
+  matrix("forward", corr.has_forward(),
+         corr.has_forward() ? &corr.forward() : nullptr);
+  out += "epsilons " + std::to_string(image.epsilons.size()) + "\n";
+  for (double e : image.epsilons) out += PrintfG17(e) + "\n";
+  return out;
+}
+
+TEST(AccountantImageCodec, MatchesPrintfReferenceAndRoundTripsBitwise) {
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t n = static_cast<std::size_t>(rng.UniformInt(1, 12));
+    AccountantImage image;
+    const StochasticMatrix b = StochasticMatrix::Random(n, &rng);
+    const StochasticMatrix f = StochasticMatrix::Random(n, &rng);
+    switch (i % 4) {
+      case 0: image.correlations = TemporalCorrelations::Both(b, f).value(); break;
+      case 1: image.correlations = TemporalCorrelations::BackwardOnly(b); break;
+      case 2: image.correlations = TemporalCorrelations::ForwardOnly(f); break;
+      default: break;
+    }
+    image.cache_alpha_resolution = i % 3 == 0 ? -1.0 : rng.Uniform() * 1e-6;
+    for (int k = 0; k < i % 7; ++k) image.epsilons.push_back(rng.Uniform());
+    if (i % 5 == 0) image.epsilons.push_back(1e-310);
+    if (i % 6 == 0) image.epsilons.push_back(-0.0);
+    const std::string blob = SerializeAccountantImage(image);
+    ASSERT_EQ(blob, ReferenceBlob(image));
+    auto parsed = ParseAccountantImage(blob);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << blob;
+    EXPECT_EQ(SerializeAccountantImage(*parsed), blob);
+    ASSERT_EQ(parsed->epsilons.size(), image.epsilons.size());
+    for (std::size_t k = 0; k < image.epsilons.size(); ++k) {
+      EXPECT_EQ(std::memcmp(&parsed->epsilons[k], &image.epsilons[k],
+                            sizeof(double)),
+                0);
+    }
+  }
+}
+
+TEST(AccountantImageCodec, NumbersAndCountsAreWholeTokens) {
+  // std::istream took the numeric prefix of a token and left the rest
+  // behind, so "0.2x" read as 0.2 and "0x1p-3" as 0. Tokens now parse
+  // whole: trailing garbage is rejected and a hex float means its value.
+  const std::string head = "tcdp-accountant-v2\nquantization 1e-09\n";
+  const std::string empty = "backward 0\nforward 0\n";
+  auto ok = ParseAccountantImage(head + empty + "epsilons 2\n0.1\n0.2\n");
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->epsilons, (std::vector<double>{0.1, 0.2}));
+  EXPECT_FALSE(
+      ParseAccountantImage(head + empty + "epsilons 2\n0.1\n0.2x\n").ok());
+  EXPECT_FALSE(ParseAccountantImage("tcdp-accountant-v2\nquantization 1e-9x\n" +
+                                    empty + "epsilons 0\n")
+                   .ok());
+  EXPECT_FALSE(ParseAccountantImage(head + "backward 0x\nforward 0\n" +
+                                    "epsilons 0\n")
+                   .ok());
+  auto hex = ParseAccountantImage(head + empty + "epsilons 1\n0x1p-3\n");
+  ASSERT_TRUE(hex.ok()) << hex.status();
+  EXPECT_EQ(hex->epsilons, (std::vector<double>{0.125}));
+  auto plus = ParseAccountantImage(head + empty + "epsilons 1\n+0.5\n");
+  ASSERT_TRUE(plus.ok()) << plus.status();
+  EXPECT_EQ(plus->epsilons, (std::vector<double>{0.5}));
 }
 
 TEST(AccountantBankRestore, RoundTripsBitwise) {
